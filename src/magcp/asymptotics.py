@@ -21,7 +21,8 @@ The factor is leading order in delta_m/z0 (see :func:`table1_potential`).
 delta_m is a scale not visible in the region inequalities themselves, and
 the correction falls off as 1/z0, so it is largest at the near end of
 Region II: for gold parameters 3*delta_m*k_e = 78, against 7 % at
-z_tilde = 1e3.
+z_tilde = 1e3.  Where 3*delta_m/z0 >= 0.1 the law is refused with
+ExpansionOutOfValidity.
 """
 
 from __future__ import annotations
@@ -150,7 +151,9 @@ def table1_potential(particle: ParticleSpec, surface: SurfaceModel,
     factor is leading order in delta_m/z0 and turns poor where 3*delta_m
     is not small against z0: for gold parameters it is 1 % high at
     z_tilde = 1e3, 9 % high at 300 and 170 % high at 100, though all three
-    distances classify as Region II.
+    distances classify as Region II.  It is therefore refused with
+    ExpansionOutOfValidity where 3*delta_m/z0 >= 0.1 (for gold, below
+    z_tilde = 782).
     """
     if kind not in ("electric", "magnetic"):
         raise ValueError(f"kind must be electric or magnetic, got {kind!r}")
@@ -176,8 +179,13 @@ def table1_potential(particle: ParticleSpec, surface: SurfaceModel,
         if isinstance(surface, Drude):
             delta_m = sc.c * math.sqrt(2.0 * surface.gamma / particle.omega_m) \
                 / surface.omega_p
-            return 3.0 / 64.0 * eta * spin / zt**3 \
-                * (1.0 - 3.0 * delta_m / geometry.z0)
+            correction = 3.0 * delta_m / geometry.z0
+            if correction >= 0.1:
+                raise ExpansionOutOfValidity(
+                    f"3*delta_m/z0 = {correction:.3g} is not small; the "
+                    f"Drude Region II magnetic law needs z0 >= "
+                    f"{30.0 * delta_m:.3g} m")
+            return 3.0 / 64.0 * eta * spin / zt**3 * (1.0 - correction)
         return 3.0 / 64.0 * eta * spin * (2.0 * spin + 1.0) / zt**3
     # Region III
     base = 3.0 / (16.0 * math.pi) * eta * spin / (wt * zt**4)

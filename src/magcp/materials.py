@@ -116,26 +116,33 @@ def _fresnel_from_eps(eps, kappa_perp, freq_over_c_sq):
     return r_s, r_p
 
 
-def fresnel_imag_axis(model: SurfaceModel, kappa_perp, xi: float) -> FresnelPair:
+def fresnel_imag_axis(model: SurfaceModel, kappa_perp, xi) -> FresnelPair:
     """Reflection coefficients at imaginary frequency i*xi.
 
-    ``kappa_perp`` may be a scalar or array; the integration domain
-    requires kappa_perp >= xi/c.  xi = 0 dispatches to the analytic static
+    ``kappa_perp`` and ``xi`` may be scalars or arrays that broadcast
+    against each other; the integration domain requires
+    kappa_perp >= xi/c.  Elements with xi = 0 take the analytic static
     limit.
     """
-    if xi < 0:
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi < 0):
         raise NegativeFrequency(f"xi must be >= 0, got {xi}")
-    if xi == 0.0:
-        return fresnel_static_limit(model, kappa_perp)
     kappa_perp = np.asarray(kappa_perp, dtype=float)
     if np.any(kappa_perp < xi / sc.c * (1.0 - 1e-12)):
         raise DomainViolation(
-            f"kappa_perp = {kappa_perp!r} below xi/c = {xi / sc.c:.6g}")
+            f"kappa_perp = {kappa_perp!r} below xi/c = {xi / sc.c}")
+    static = xi == 0.0
     if isinstance(model, PerfectConductor):
-        ones = np.ones_like(kappa_perp)
-        return FresnelPair(-ones, ones)
-    eps = permittivity_imag_axis(model, xi)
-    r_s, r_p = _fresnel_from_eps(eps, kappa_perp, (xi / sc.c) ** 2)
+        ones = np.ones(np.broadcast_shapes(kappa_perp.shape, xi.shape))
+        r_s, r_p = -ones, ones
+    else:
+        eps = permittivity_imag_axis(model, xi)
+        with np.errstate(invalid="ignore"):  # eps = inf where xi = 0
+            r_s, r_p = _fresnel_from_eps(eps, kappa_perp, (xi / sc.c) ** 2)
+    if np.any(static):
+        limit = fresnel_static_limit(model, kappa_perp)
+        r_s = np.where(static, limit.r_s, r_s)
+        r_p = np.where(static, limit.r_p, r_p)
     return FresnelPair(r_s, r_p)
 
 

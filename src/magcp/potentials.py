@@ -19,7 +19,7 @@ magnetic ground-state parts are repulsive for the perfect conductor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.constants as sc
@@ -109,7 +109,8 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     else:
         raise ValueError(f"which must be electric or magnetic, got {which!r}")
 
-    def inner(xi_t: float, kappa_t: np.ndarray) -> np.ndarray:
+    # xi_t is a scalar with a 1-d kappa_t, or a column with a 2-d kappa_t
+    def inner(xi_t, kappa_t: np.ndarray) -> np.ndarray:
         pair = fresnel_imag_axis(surface, kappa_t * k_e, xi_t * omega_e)
         if which == "electric":
             num = pair.r_s * xi_t**2 - pair.r_p * kappa_t**2
@@ -126,12 +127,8 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
                             surface.gamma / omega_e})
     elif isinstance(surface, Plasma):
         breakpoints.add(surface.omega_p / omega_e)
-    cfg = QuadratureConfig(
-        rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-        max_subdivisions=quad.max_subdivisions,
-        tail_decades=quad.tail_decades,
-        split_points=tuple(sorted(b for b in breakpoints if b > 0)),
-    )
+    cfg = replace(quad,
+                  split_points=tuple(sorted(b for b in breakpoints if b > 0)))
     # The inner integral leaves an overall exp(-2*xi*z) envelope, so the
     # outer support ends near xi = 1/(2*z) in both the near and far zones.
     outer_scale = 1.0 / (2.0 * zt)
@@ -232,13 +229,9 @@ def _pc_single(zt: float, w: float, quad: QuadratureConfig,
     while p < 4.0 * s_hi:
         splits.append(p)
         p *= 4.0
-    cfg = QuadratureConfig(
-        rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-        max_subdivisions=quad.max_subdivisions,
-        tail_decades=quad.tail_decades,
-        split_points=tuple(splits),
-    )
-    return integrate_semi_infinite(integrand, 0.0, cfg, tail_scale=s_hi)
+    return integrate_semi_infinite(integrand, 0.0,
+                                   replace(quad, split_points=tuple(splits)),
+                                   tail_scale=s_hi)
 
 
 def _pc_closed(zt: float, w: float, prefactor: float,
@@ -333,12 +326,7 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, k_omega: float,
     pole = _surface_pole_position(surface, omega)
     evan_cfg = quad
     if pole is not None:
-        evan_cfg = QuadratureConfig(
-            rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-            max_subdivisions=quad.max_subdivisions,
-            tail_decades=quad.tail_decades,
-            split_points=(0.99 * pole, pole, 1.01 * pole),
-        )
+        evan_cfg = replace(quad, split_points=(0.99 * pole, pole, 1.01 * pole))
     evan = integrate_semi_infinite(evanescent, 0.0, evan_cfg,
                                    tail_scale=1.0 / a)
     return prop + evan

@@ -5,14 +5,16 @@ All integrators share a deterministic adaptive core: a G7-K15 rule on a
 panel heap, with the final sum taken over panels sorted by position so that
 results are bit-stable for identical inputs regardless of subdivision
 order.  Integrands are called with a numpy array of abscissae and must
-return an array of the same shape (real or complex).
+return an array of the same shape (real or complex).  The nested
+integrator runs the inner integrals of all outer nodes of a panel in
+lockstep, each taking the panel decisions it would take alone.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -200,17 +202,129 @@ def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
     return IntegralResult(value, err, res.evaluations + 1, converged)
 
 
+def _panels(g, lo, hi):
+    """_panel on every panel [lo, hi] of shape (n, p) at once.
+
+    ``g`` gets the abscissae as an (n, 15*p) array, each row the 15 nodes
+    of its panels side by side.  Every arithmetic step is the one _panel
+    takes, elementwise, so each panel's (value, error) equals _panel's.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[..., None] + half[..., None] * _NODES
+    y = np.asarray(g(x.reshape(len(x), -1))).reshape(x.shape)
+    finite = np.isfinite(y)
+    if not np.all(finite):
+        bad = x[~finite][0]
+        raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
+    k15 = half * np.sum(_WEIGHTS_K * y, axis=-1)
+    g7 = half * np.sum(_WEIGHTS_G * y, axis=-1)
+    resabs = half * np.sum(_WEIGHTS_K * np.abs(y), axis=-1)
+    mean = k15 / (hi - lo)
+    resasc = half * np.sum(_WEIGHTS_K * np.abs(y - mean[..., None]), axis=-1)
+    err = np.abs(k15 - g7)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    safe = np.where(scaled, resasc, 1.0)
+    err = np.where(scaled,
+                   resasc * np.minimum(1.0, (200.0 * err / safe) ** 1.5), err)
+    eps = np.finfo(float).eps
+    floor = resabs > np.finfo(float).tiny / (50.0 * eps)
+    err = np.where(floor, np.maximum(err, 50.0 * eps * resabs), err)
+    return k15, err
+
+
+def _semi_infinite_rows(f, x, lower, scale, config: QuadratureConfig):
+    """integrate_semi_infinite of y -> f(x[i], y) from lower[i], for all i.
+
+    The rows advance in lockstep: each step, every row that has not met
+    its tolerance bisects its worst panel, and the two halves of all such
+    rows go to ``f`` in one call, with x of shape (n, 1) and y of shape
+    (n, 30).  Per row, the mapping, the rule, the error formula, the
+    choice of panel (largest error, oldest first), the budget, the tail
+    bound and the position-ordered sum are those of
+    integrate_semi_infinite, so each row gets its value, error estimate,
+    evaluation count and converged flag.  Returns those four as arrays.
+    """
+    n = len(x)
+    x = x[:, None]
+    a = lower[:, None]
+    s = scale[:, None]
+    if np.any(s <= 0):
+        raise ValueError(f"tail_scale must be positive, got {scale}")
+    span = 10.0 ** config.tail_decades
+    t_max = span / (1.0 + span)
+
+    def mapped(rows):
+        def g(t):
+            one_m = 1.0 - t
+            return np.asarray(f(x[rows], a[rows] + s[rows] * t / one_m)) \
+                * (s[rows] / one_m**2)
+        return g
+
+    # Panel j of row i is [lo, hi][i, j]; a bisection puts its left half
+    # in the parent's slot and its right half in the next free one.
+    # ``born`` keeps creation order, which breaks ties in the error.
+    width = config.max_subdivisions + 1
+    lo = np.full((n, width), np.inf)
+    hi = np.zeros((n, width))
+    val = np.zeros((n, width))
+    err = np.zeros((n, width))
+    born = np.zeros((n, width), dtype=int)
+    lo[:, 0] = 0.0
+    hi[:, 0] = t_max
+    val[:, :1], err[:, :1] = _panels(mapped(slice(None)), lo[:, :1],
+                                     hi[:, :1])
+    evals = np.full(n, 15)
+    rows = np.arange(n)     # the rows still short of their tolerance
+    for step in range(1, width):
+        tol = np.maximum(config.rel_tol * np.abs(val[rows, :step].sum(axis=1)),
+                         config.abs_tol)
+        rows = rows[~(err[rows, :step].sum(axis=1) <= tol)]
+        if rows.size == 0:
+            break
+        live = err[rows, :step]
+        worst = live == live.max(axis=1, keepdims=True)
+        j = np.where(worst, born[rows, :step], 2 * width).argmin(axis=1)
+        mid = 0.5 * (lo[rows, j] + hi[rows, j])
+        new_lo = np.stack([lo[rows, j], mid], axis=1)
+        new_hi = np.stack([mid, hi[rows, j]], axis=1)
+        v, e = _panels(mapped(rows), new_lo, new_hi)
+        for half, slot in ((0, j), (1, step)):
+            lo[rows, slot] = new_lo[:, half]
+            hi[rows, slot] = new_hi[:, half]
+            val[rows, slot] = v[:, half]
+            err[rows, slot] = e[:, half]
+            born[rows, slot] = 2 * step - 1 + half
+        evals[rows] += 30
+
+    # sequential sums in position order; empty slots sort last and add 0
+    order = np.argsort(lo, axis=1, kind="stable")
+    value = np.cumsum(np.take_along_axis(val, order, axis=1), axis=1)[:, -1]
+    error = np.cumsum(np.take_along_axis(err, order, axis=1), axis=1)[:, -1]
+    x_max = a + s * span
+    tail_bound = np.abs(np.asarray(f(x, x_max))) * x_max
+    error = error + tail_bound[:, 0]
+    converged = error <= np.maximum(config.rel_tol * np.abs(value),
+                                    config.abs_tol)
+    return value, error, evals + 1, converged
+
+
 def integrate_nested(inner_f, outer_lower: float, inner_lower,
                      config: QuadratureConfig,
                      outer_tail_scale: float | None = None,
                      inner_tail_scale=None) -> IntegralResult:
     """Double integral over x in [outer_lower, inf), y in [inner_lower(x), inf).
 
-    ``inner_f(x, y_array)`` evaluates the integrand at fixed outer x;
-    ``inner_lower`` is a callable of x (the kappa >= xi/c coupling) or a
-    constant; ``inner_tail_scale`` likewise a callable of x or a constant.
-    The error estimate conservatively adds the worst inner relative error
-    scaled by the outer absolute integral to the outer estimate.
+    ``inner_f(x, y)`` evaluates the integrand.  The inner integrals of
+    all outer nodes of a panel run together, so it is called with x of
+    shape (n, 1) and y of shape (n, m), and must return shape (n, m); it
+    must also accept a scalar x with a 1-d y.  ``inner_lower`` is a
+    constant or a callable of x; ``inner_tail_scale`` likewise, or None.
+    A callable gets the 1-d array of outer nodes and returns an array of
+    that shape or a scalar.  Each inner integral takes the panel
+    decisions integrate_semi_infinite would take for it alone.
+    The error estimate conservatively adds the worst inner error, scaled
+    by an effective outer extent, to the outer estimate.
     """
     if not callable(inner_lower):
         lower_val = float(inner_lower)
@@ -222,34 +336,28 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     # Budget split: the outer pass targets half the requested tolerance and
     # the inner passes a tenth, so the conservative combined bound still
     # meets the caller's tolerance and the converged flag stays honest.
-    inner_cfg = QuadratureConfig(
-        rel_tol=config.rel_tol / 10.0,
-        abs_tol=config.abs_tol / 10.0,
-        max_subdivisions=config.max_subdivisions,
-        tail_decades=config.tail_decades,
-    )
-    outer_cfg = QuadratureConfig(
-        rel_tol=config.rel_tol / 2.0,
-        abs_tol=config.abs_tol / 2.0,
-        max_subdivisions=config.max_subdivisions,
-        tail_decades=config.tail_decades,
-        split_points=config.split_points,
-    )
+    inner_cfg = replace(config, rel_tol=config.rel_tol / 10.0,
+                        abs_tol=config.abs_tol / 10.0, split_points=None)
+    outer_cfg = replace(config, rel_tol=config.rel_tol / 2.0,
+                        abs_tol=config.abs_tol / 2.0)
     stats = {"evals": 0, "failed_at": None, "max_err": 0.0}
 
     def outer_integrand(xs):
-        out = np.empty(len(xs), dtype=float)
-        for i, x in enumerate(xs):
-            scale = inner_tail_scale(x) if inner_tail_scale else None
-            res = integrate_semi_infinite(
-                lambda y: inner_f(x, y), inner_lower(x), inner_cfg,
-                tail_scale=scale)
-            stats["evals"] += res.evaluations
-            stats["max_err"] = max(stats["max_err"], res.error_estimate)
-            if not res.converged and stats["failed_at"] is None:
-                stats["failed_at"] = x
-            out[i] = res.value
-        return out
+        lower = np.broadcast_to(np.asarray(inner_lower(xs), dtype=float),
+                                xs.shape)
+        if inner_tail_scale is None:
+            scale = np.maximum(1.0, np.abs(lower))
+        else:
+            scale = np.broadcast_to(
+                np.asarray(inner_tail_scale(xs), dtype=float), xs.shape)
+        value, error, evals, converged = _semi_infinite_rows(
+            inner_f, xs, lower, scale, inner_cfg)
+        stats["evals"] += int(evals.sum())
+        stats["max_err"] = float(np.fmax.reduce(error,
+                                                initial=stats["max_err"]))
+        if stats["failed_at"] is None and not converged.all():
+            stats["failed_at"] = xs[np.argmin(converged)]
+        return value
 
     outer = integrate_semi_infinite(outer_integrand, outer_lower, outer_cfg,
                                     tail_scale=outer_tail_scale)

@@ -194,6 +194,23 @@ def test_drude_region2_law_converges_like_skin_depth():
     assert scaled[-1] == pytest.approx(-3.0 * skin_depth * p.k_e, rel=0.05)
 
 
+def test_drude_region2_law_refused_near_skin_depth():
+    # 3 delta_m k_e = 78 for gold: z_tilde 300 is Region II, but there the
+    # leading-order factor 1 - 3 delta_m/z0 is 0.74 and the law 9 % high
+    p = make_particle()
+    skin_depth = sc.c * math.sqrt(2.0 * GOLD_GAMMA / p.omega_m) \
+        / GOLD_OMEGA_P
+    near = geo(p, 300.0)
+    assert classify_region(p, GOLD, near) is Region.II
+    with pytest.raises(ExpansionOutOfValidity):
+        table1_potential(p, GOLD, near, Region.II, "magnetic")
+    assert table1_potential(p, GOLD, near, Region.II, "electric") < 0.0
+    law = table1_potential(p, GOLD, geo(p, 1e3), Region.II, "magnetic")
+    assert law == pytest.approx(
+        3.0 / 64.0 * p.eta * p.spin / 1e9
+        * (1.0 - 3.0 * skin_depth * p.k_e / 1e3), rel=1e-12)
+
+
 def test_resonance_epsilon_form_tracks_numerics():
     # the full real-frequency integral against the 1/z law, close to the
     # surface where the pole-emission channel is negligible

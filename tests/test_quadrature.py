@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magcp import Drude, Geometry, potentials
 from magcp.quadrature import (
     IntegralResult,
     NonFiniteIntegrand,
     QuadratureConfig,
+    _panel,
+    _panels,
+    _semi_infinite_rows,
     integrate_finite,
     integrate_nested,
     integrate_oscillatory_split,
     integrate_semi_infinite,
 )
+
+from conftest import GOLD_GAMMA, GOLD_OMEGA_P, make_particle
 
 CFG = QuadratureConfig()
 
@@ -84,6 +90,136 @@ def test_nested_triangle_weighted():
                            inner_tail_scale=0.5)
     assert res.converged
     assert res.value == pytest.approx(0.25, rel=1e-8)
+
+
+def _per_node_nested(inner_f, outer_lower, inner_lower, config,
+                     outer_tail_scale=None, inner_tail_scale=None):
+    """integrate_nested with one integrate_semi_infinite per outer node.
+
+    The reference for the lockstep inner integrals: same budget split,
+    same bookkeeping, a plain loop over the outer nodes.  ``inner_lower``
+    and ``inner_tail_scale`` must be callables.
+    """
+    inner_cfg = QuadratureConfig(
+        rel_tol=config.rel_tol / 10.0, abs_tol=config.abs_tol / 10.0,
+        max_subdivisions=config.max_subdivisions,
+        tail_decades=config.tail_decades)
+    outer_cfg = QuadratureConfig(
+        rel_tol=config.rel_tol / 2.0, abs_tol=config.abs_tol / 2.0,
+        max_subdivisions=config.max_subdivisions,
+        tail_decades=config.tail_decades, split_points=config.split_points)
+    stats = {"evals": 0, "failed_at": None, "max_err": 0.0}
+
+    def outer_integrand(xs):
+        out = np.empty(len(xs))
+        for i, x in enumerate(xs):
+            res = integrate_semi_infinite(
+                lambda y: inner_f(x, y), inner_lower(x), inner_cfg,
+                tail_scale=inner_tail_scale(x))
+            stats["evals"] += res.evaluations
+            stats["max_err"] = max(stats["max_err"], res.error_estimate)
+            if not res.converged and stats["failed_at"] is None:
+                stats["failed_at"] = x
+            out[i] = res.value
+        return out
+
+    outer = integrate_semi_infinite(outer_integrand, outer_lower, outer_cfg,
+                                    tail_scale=outer_tail_scale)
+    extent = 10.0 * (outer_tail_scale if outer_tail_scale else 1.0)
+    inner_bound = min(
+        stats["max_err"] * extent,
+        inner_cfg.rel_tol * abs(outer.value) + inner_cfg.abs_tol * extent)
+    err = outer.error_estimate + inner_bound
+    converged = (stats["failed_at"] is None and
+                 err <= max(config.rel_tol * abs(outer.value),
+                            config.abs_tol))
+    level = "" if stats["failed_at"] is None else (
+        f"inner integral non-converged at outer x = {stats['failed_at']!r}")
+    return IntegralResult(outer.value, err, outer.evaluations + stats["evals"],
+                          converged, level=level)
+
+
+def _smooth(x, y):
+    return np.exp(-y) * (1.0 + x * y) / (1.0 + y**2)
+
+
+def _kinked(x, y):
+    # a kink at y = 2 that only the inner integrals with x < 2 contain
+    return np.exp(-y) * np.sqrt(np.abs(y - 2.0))
+
+
+TIGHT = QuadratureConfig(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=12)
+
+
+@pytest.mark.parametrize("f, config", [(_smooth, CFG), (_kinked, TIGHT)])
+def test_lockstep_inner_integrals_match_per_node_loop(f, config):
+    xs = np.array([0.0, 0.3, 1.0, 1.9, 2.5, 4.0, 7.0])
+    value, error, evals, converged = _semi_infinite_rows(
+        f, xs, xs, np.ones_like(xs), config)
+    for i, x in enumerate(xs):
+        ref = integrate_semi_infinite(lambda y: f(x, y), x, config,
+                                      tail_scale=1.0)
+        assert evals[i] == ref.evaluations
+        assert converged[i] == ref.converged
+        assert value[i] == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+        assert error[i] == pytest.approx(ref.error_estimate, rel=1e-14,
+                                         abs=0.0)
+    if f is _kinked:
+        # the budget runs out exactly at the nodes below the kink
+        assert list(converged) == [False] * 4 + [True] * 3
+
+
+@pytest.mark.parametrize("f, config", [(_smooth, CFG), (_kinked, TIGHT)])
+def test_nested_matches_per_node_loop(f, config):
+    batched = integrate_nested(f, 0.0, lambda x: x, config,
+                               outer_tail_scale=1.0, inner_tail_scale=1.0)
+    ref = _per_node_nested(f, 0.0, lambda x: x, config,
+                           outer_tail_scale=1.0,
+                           inner_tail_scale=lambda x: 1.0)
+    assert batched.evaluations == ref.evaluations
+    assert batched.converged == ref.converged
+    assert batched.level == ref.level
+    assert batched.value == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+    assert batched.error_estimate == pytest.approx(ref.error_estimate,
+                                                   rel=1e-14, abs=0.0)
+    assert (f is _kinked) == (not batched.converged) == bool(batched.level)
+
+
+@pytest.mark.parametrize("which, zt", [("magnetic", 1e-3), ("electric", 1.0)])
+def test_nested_matches_per_node_loop_on_drude_shift(monkeypatch, which, zt):
+    # the broadband magnetic shift does not converge at z_tilde = 1e-3,
+    # so the failing inner node is compared too
+    p = make_particle()
+    surface = Drude(omega_p=GOLD_OMEGA_P, gamma=GOLD_GAMMA)
+    geometry = Geometry(zt / p.k_e)
+    quad = QuadratureConfig(rel_tol=1e-6)
+    batched = potentials._ground_double(p, surface, geometry, quad, which,
+                                        False)
+    monkeypatch.setattr(potentials, "integrate_nested", _per_node_nested)
+    ref = potentials._ground_double(p, surface, geometry, quad, which, False)
+    assert batched.evaluations == ref.evaluations
+    assert batched.converged == ref.converged
+    assert batched.level == ref.level
+    assert batched.value == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+    assert (which == "magnetic") == (not batched.converged)
+
+
+def test_batched_panel_rule_matches_panel():
+    f = lambda x: np.exp(-x) * np.cos(3.0 * x) / (1.0 + x**2)
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-2.0, 5.0, (4, 2))
+    hi = lo + rng.uniform(1e-3, 4.0, (4, 2))
+    value, error = _panels(f, lo, hi)
+    for i, j in np.ndindex(lo.shape):
+        ref_value, ref_error, _ = _panel(f, lo[i, j], hi[i, j])
+        assert value[i, j] == pytest.approx(ref_value, rel=1e-15, abs=0.0)
+        assert error[i, j] == pytest.approx(ref_error, rel=1e-15, abs=0.0)
+
+
+def test_nested_non_finite_inner_integrand_raises():
+    f = lambda x, y: np.where(y > 3.0, np.nan, np.exp(-y))
+    with pytest.raises(NonFiniteIntegrand, match=r"non-finite at x = "):
+        integrate_nested(f, 0.0, lambda x: x, CFG)
 
 
 def test_oscillatory_split_matches_closed_form():
