@@ -3,8 +3,7 @@
 
 For each distance the script reports the smallest spin at which the
 total ground-state force turns repulsive, with and without the
-zero-frequency magnetic image term, plus the levitation equilibrium of
-the with-static configuration when one exists in the scanned bracket.
+zero-frequency magnetic image term.
 
 Example:
     python scripts/threshold_vs_distance.py --surface pc \
@@ -18,8 +17,8 @@ import sys
 
 import numpy as np
 
-from magcp import Drude, Geometry, PerfectConductor, Plasma, \
-    QuadratureConfig, build_particle
+from magcp import Drude, EnvironmentSpec, Geometry, PerfectConductor, \
+    Plasma, QuadratureConfig, build_particle
 from magcp.mechanics import spin_threshold
 
 
@@ -51,7 +50,7 @@ def main(argv=None):
                               gamma_0=1.8e7)
     surface = build_surface(args)
     quad = QuadratureConfig(rel_tol=args.rel_tol)
-    gravity = not args.no_gravity
+    env = EnvironmentSpec(g=0.0) if args.no_gravity else EnvironmentSpec()
 
     grid = np.logspace(math.log10(args.zmin), math.log10(args.zmax),
                        args.points)
@@ -60,11 +59,9 @@ def main(argv=None):
     writer.writerow(["z_tilde", "spin_with_static", "spin_without_static"])
     for zt in grid:
         geo = Geometry(zt / particle.k_e)
-        s_w = spin_threshold(particle, surface, geo, quad,
-                             mode="with_static", gravity=gravity)
-        s_o = spin_threshold(particle, surface, geo, quad,
-                             mode="without_static", gravity=gravity)
-        writer.writerow([f"{zt:.10e}", f"{s_w:.10e}", f"{s_o:.10e}"])
+        th = spin_threshold(particle, surface, geo, quad, environment=env)
+        writer.writerow([f"{zt:.10e}", f"{th.with_static:.10e}",
+                         f"{th.without_static:.10e}"])
     if fh is not sys.stdout:
         fh.close()
         print(f"wrote {args.points} rows to {args.out}")

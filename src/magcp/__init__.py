@@ -27,7 +27,6 @@ from .materials import (
     Plasma,
     SurfaceModel,
     fresnel_imag_axis,
-    fresnel_real_freq,
     fresnel_static_limit,
     permittivity_imag_axis,
     permittivity_real_freq,
@@ -36,6 +35,7 @@ from .mechanics import (
     Equilibrium,
     ForceBreakdown,
     NoEquilibrium,
+    SpinThresholds,
     approx_total_force_excited,
     find_equilibrium,
     force_breakdown,
@@ -64,7 +64,6 @@ from .potentials import (
     u_e_pc_closed,
     u_m0_pc_closed,
     u_m_excited0,
-    u_m_excited0_decomposed,
     u_m_ground_broadband,
     u_m_pc_closed,
     u_m_static,
@@ -74,7 +73,6 @@ from .quadrature import (
     QuadratureConfig,
     integrate_finite,
     integrate_nested,
-    integrate_oscillatory_split,
     integrate_semi_infinite,
 )
 
@@ -97,6 +95,7 @@ __all__ = [
     "PotentialBreakdown",
     "QuadratureConfig",
     "Region",
+    "SpinThresholds",
     "SurfaceModel",
     "approx_total_force_excited",
     "build_particle",
@@ -110,14 +109,12 @@ __all__ = [
     "force_breakdown",
     "fresnel_imag_axis",
     "fresnel_nr_expansion",
-    "fresnel_real_freq",
     "fresnel_static_limit",
     "from_dimensionless",
     "gamma0_from_dipole",
     "gravity_force_dimensionless",
     "integrate_finite",
     "integrate_nested",
-    "integrate_oscillatory_split",
     "integrate_semi_infinite",
     "matrix_element_flip",
     "permittivity_imag_axis",
@@ -132,7 +129,6 @@ __all__ = [
     "u_e_pc_closed",
     "u_m0_pc_closed",
     "u_m_excited0",
-    "u_m_excited0_decomposed",
     "u_m_ground_broadband",
     "u_m_pc_closed",
     "u_m_static",

@@ -262,18 +262,16 @@ def cmd_equilibrium(cfg: JobConfig) -> int:
 def cmd_threshold(cfg: JobConfig) -> int:
     columns = ["z_tilde", "spin_with_static", "spin_without_static"]
     rows = []
+    all_ok = True
     for zt in cfg.grid:
         geo = Geometry(zt / cfg.particle.k_e)
-        s_with = mechanics.spin_threshold(
-            cfg.particle, cfg.surface, geo, cfg.quad, mode="with_static",
-            environment=cfg.environment, gravity=cfg.gravity)
-        s_without = mechanics.spin_threshold(
-            cfg.particle, cfg.surface, geo, cfg.quad, mode="without_static",
-            environment=cfg.environment, gravity=cfg.gravity)
-        rows.append({"z_tilde": zt, "spin_with_static": s_with,
-                     "spin_without_static": s_without})
+        th = mechanics.spin_threshold(cfg.particle, cfg.surface, geo,
+                                      cfg.quad, environment=cfg.effective_env)
+        all_ok = all_ok and th.converged
+        rows.append({"z_tilde": zt, "spin_with_static": th.with_static,
+                     "spin_without_static": th.without_static})
     _emit(columns, rows, cfg)
-    return EXIT_OK
+    return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
 def cmd_validate(cfg: JobConfig) -> int:

@@ -166,32 +166,25 @@ def fresnel_static_limit(model: SurfaceModel, kappa_perp) -> FresnelPair:
     raise TypeError(f"unknown surface model {model!r}")
 
 
-def kappa_perp_real_freq(k_par, omega: float):
-    """Vacuum decay constant at real frequency on the fixed branch.
+def fresnel_real_freq_from_kappa(model: SurfaceModel, kappa_perp,
+                                 omega: float) -> FresnelPair:
+    """Complex reflection coefficients at real frequency omega.
 
-    Propagating sector (k_par < omega/c): -i*sqrt(omega^2/c^2 - k_par^2).
-    Evanescent sector: +sqrt(k_par^2 - omega^2/c^2).  Continuous at the
-    light line.
-    """
-    k_par = np.asarray(k_par, dtype=float)
-    k0_sq = (omega / sc.c) ** 2
-    diff = k_par**2 - k0_sq
-    return np.where(
-        diff >= 0,
-        np.sqrt(np.maximum(diff, 0.0)) + 0j,
-        -1j * np.sqrt(np.maximum(-diff, 0.0)),
-    )
-
-
-def _fresnel_real(eps: complex, kappa_perp, omega: float) -> FresnelPair:
-    """Fresnel pair from a complex permittivity at real frequency.
-
-    kappa_2^2 = kappa_perp^2 - (eps - 1)*omega^2/c^2.  The principal
-    square root (Re >= 0) is correct for lossy media; on the negative real
-    axis (transparent medium below the light line in the medium) the
+    Parametrized by kappa_perp on the branch of the module note, so the
+    propagating sector can pass kappa_perp = -i*u with u = sqrt(k^2 -
+    k_par^2) known exactly, where recomputing it from k_par would lose
+    precision near the light line.  Inside the medium kappa_2^2 =
+    kappa_perp^2 - (eps - 1)*omega^2/c^2.  The principal square root
+    (Re >= 0) is correct for lossy media; on the negative real axis
+    (transparent medium below the light line in the medium) the
     outgoing-wave branch -i*sqrt(|.|) is taken, matching the gamma -> 0
     limit of the Drude model from below the real axis.
     """
+    if isinstance(model, PerfectConductor):
+        shape = np.shape(np.asarray(kappa_perp))
+        ones = np.ones(shape) if shape else 1.0
+        return FresnelPair(-ones, ones)
+    eps = permittivity_real_freq(model, omega)
     kappa_perp = np.asarray(kappa_perp, dtype=complex)
     w = kappa_perp**2 - (eps - 1.0) * (omega / sc.c) ** 2
     w = np.asarray(w, dtype=complex)
@@ -205,34 +198,3 @@ def _fresnel_real(eps: complex, kappa_perp, omega: float) -> FresnelPair:
     safe = np.where(den_p == 0, 1.0, den_p)
     r_p = np.where(den_p == 0, -1.0, (eps * kappa_perp - kappa_2) / safe)
     return FresnelPair(r_s, r_p)
-
-
-def fresnel_real_freq(model: SurfaceModel, k_par, omega: float) -> FresnelPair:
-    """Complex reflection coefficients at real frequency omega."""
-    if omega <= 0:
-        raise NegativeFrequency(f"omega must be positive, got {omega}")
-    k_par = np.asarray(k_par, dtype=float)
-    if np.any(k_par < 0):
-        raise DomainViolation(f"k_par must be >= 0, got {k_par!r}")
-    kappa_perp = kappa_perp_real_freq(k_par, omega)
-    if isinstance(model, PerfectConductor):
-        ones = np.ones_like(kappa_perp, dtype=float)
-        return FresnelPair(-ones, ones)
-    eps = permittivity_real_freq(model, omega)
-    return _fresnel_real(eps, kappa_perp, omega)
-
-
-def fresnel_real_freq_from_kappa(model: SurfaceModel, kappa_perp,
-                                 omega: float) -> FresnelPair:
-    """As fresnel_real_freq but parametrized directly by kappa_perp.
-
-    Used by the substitution u = sqrt(k_m^2 - k_par^2) in the propagating
-    sector, where kappa_perp = -i*u is known exactly and recomputing it
-    from k_par would lose precision near the light line.
-    """
-    if isinstance(model, PerfectConductor):
-        shape = np.shape(np.asarray(kappa_perp))
-        ones = np.ones(shape) if shape else 1.0
-        return FresnelPair(-ones, ones)
-    eps = permittivity_real_freq(model, omega)
-    return _fresnel_real(eps, kappa_perp, omega)

@@ -6,10 +6,10 @@ sign (the only z-dependence of every integrand is an exponential).  Sign
 convention: +z points away from the surface, so repulsion is positive and
 gravity is negative.
 
-For the perfect conductor the ground-state components are evaluated via
-the equivalent single-integral representations, which are orders of
-magnitude cheaper than the generic double integrals; the equivalence of
-the two representations is covered by the test suite.
+Every component goes through :func:`magcp.potentials.component`, which
+picks its representation (for the perfect conductor, the single-integral
+closed forms of the ground-state shifts); the analytic and the
+finite-difference force paths differ only in the deriv flag.
 """
 
 from __future__ import annotations
@@ -17,22 +17,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-import numpy as np
 import scipy.constants as sc
 from scipy.optimize import brentq
 
-from .materials import PerfectConductor, SurfaceModel
+from .materials import SurfaceModel
 from .params import EnvironmentSpec, Geometry, ParticleSpec, \
     gravity_force_dimensionless
-from .potentials import (
-    u_e_ground,
-    u_e_pc_closed,
-    u_m_excited0,
-    u_m_ground_broadband,
-    u_m_pc_closed,
-    u_m_static,
-)
+from .potentials import component
 from .quadrature import QuadratureConfig
 
 log = logging.getLogger(__name__)
@@ -75,67 +68,27 @@ class Equilibrium:
     analytic_estimate: float | None = None
 
 
-def _component_forces(particle: ParticleSpec, surface: SurfaceModel,
-                      geometry: Geometry, quad: QuadratureConfig,
-                      mode: str, include_static: bool):
-    """(f_e, f_m_minus or f_m_excited0, f_m_z, all_converged)."""
-    pc = isinstance(surface, PerfectConductor)
-    if pc:
-        due, r1 = u_e_pc_closed(particle, geometry, quad, deriv=True,
-                                strict=False)
-    else:
-        due, r1 = u_e_ground(particle, surface, geometry, quad, deriv=True,
-                             strict=False)
-    if mode == "ground":
-        if pc:
-            dum, r2 = u_m_pc_closed(particle, geometry, quad, deriv=True,
-                                    strict=False)
-        else:
-            dum, r2 = u_m_ground_broadband(particle, surface, geometry, quad,
-                                           deriv=True, strict=False)
-    elif mode == "excited0":
-        dum, r2 = u_m_excited0(particle, surface, geometry, quad, deriv=True,
-                               strict=False)
-    else:
-        raise ValueError(f"mode must be ground or excited0, got {mode!r}")
-    if include_static and mode == "ground":
-        duz, r3 = u_m_static(particle, surface, geometry, quad, deriv=True,
-                             strict=False)
-    else:
-        duz, r3 = 0.0, None
-    ok = r1.converged and r2.converged and (r3 is None or r3.converged)
-    return -due, -dum, -duz, ok
+_MODE_COMPONENTS = {"ground": ("electric", "magnetic", "static"),
+                    "excited0": ("electric", "excited0")}
 
 
-def _fd_component_forces(particle, surface, geometry, quad, mode,
-                         include_static, rel_step: float = 1e-4):
-    """Central finite-difference force path for cross-checks."""
+def _potential_slope(name: str, particle: ParticleSpec,
+                     surface: SurfaceModel, geometry: Geometry,
+                     quad: QuadratureConfig, finite_difference: bool,
+                     rel_step: float = 1e-4):
+    """(d/dz_tilde of one component, converged), analytic or central
+    difference of the potentials at z*(1 +- rel_step)."""
+    if not finite_difference:
+        du, res = component(name, particle, surface, geometry, quad,
+                            deriv=True)
+        return du, res.converged
     zt = geometry.z_tilde(particle)
     h = rel_step * zt
-    out = []
-    for sign in (+1.0, -1.0):
-        g = Geometry((zt + sign * h) / particle.k_e)
-        pc = isinstance(surface, PerfectConductor)
-        if pc:
-            ue, _ = u_e_pc_closed(particle, g, quad, strict=False)
-        else:
-            ue, _ = u_e_ground(particle, surface, g, quad, strict=False)
-        if mode == "ground":
-            if pc:
-                um, _ = u_m_pc_closed(particle, g, quad, strict=False)
-            else:
-                um, _ = u_m_ground_broadband(particle, surface, g, quad,
-                                             strict=False)
-        else:
-            um, _ = u_m_excited0(particle, surface, g, quad, strict=False)
-        if include_static and mode == "ground":
-            uz, _ = u_m_static(particle, surface, g, quad, strict=False)
-        else:
-            uz = 0.0
-        out.append((ue, um, uz))
-    (ue_p, um_p, uz_p), (ue_m, um_m, uz_m) = out
-    return (-(ue_p - ue_m) / (2 * h), -(um_p - um_m) / (2 * h),
-            -(uz_p - uz_m) / (2 * h))
+    u_p, res_p = component(name, particle, surface,
+                           Geometry((zt + h) / particle.k_e), quad)
+    u_m, res_m = component(name, particle, surface,
+                           Geometry((zt - h) / particle.k_e), quad)
+    return (u_p - u_m) / (2 * h), res_p.converged and res_m.converged
 
 
 def force_breakdown(particle: ParticleSpec, surface: SurfaceModel,
@@ -149,22 +102,28 @@ def force_breakdown(particle: ParticleSpec, surface: SurfaceModel,
     additionally excludes the magnetostatic image component.  The
     finite_difference flag swaps the analytic differentiation under the
     integral for a central difference of the potentials (step 1e-4 z).
+    converged is true only when every integral behind the forces is.
     """
+    if mode not in _MODE_COMPONENTS:
+        raise ValueError(f"mode must be ground or excited0, got {mode!r}")
+    slope = {"static": 0.0}  # what an excluded static term contributes
+    ok = True
+    for name in _MODE_COMPONENTS[mode]:
+        if name != "static" or include_static:
+            slope[name], good = _potential_slope(
+                name, particle, surface, geometry, quad, finite_difference)
+            ok = ok and good
     f_g = gravity_force_dimensionless(particle, environment)
-    if finite_difference:
-        f_e, f_m, f_z = _fd_component_forces(
-            particle, surface, geometry, quad, mode, include_static)
-        ok = True
-    else:
-        f_e, f_m, f_z, ok = _component_forces(
-            particle, surface, geometry, quad, mode, include_static)
+    f_e = -slope["electric"]
     if mode == "ground":
+        f_m, f_z = -slope["magnetic"], -slope["static"]
         return ForceBreakdown(
             f_e=f_e, f_m_minus=f_m, f_m_z=f_z, f_gravity=f_g,
             f_total=f_e + f_m + f_z + f_g,
             f_total_cp=f_e + f_m + f_g,
             converged=ok,
         )
+    f_m = -slope["excited0"]
     return ForceBreakdown(
         f_e=f_e, f_m_minus=0.0, f_m_z=0.0, f_gravity=f_g,
         f_m_excited0=f_m,
@@ -238,40 +197,15 @@ def find_equilibrium(particle: ParticleSpec, surface: SurfaceModel,
     )
 
 
-def spin_threshold(particle: ParticleSpec, surface: SurfaceModel,
-                   geometry: Geometry, quad: QuadratureConfig,
-                   mode: str = "with_static",
-                   environment: EnvironmentSpec = EnvironmentSpec(),
-                   gravity: bool = True) -> float:
-    """Smallest spin making the total ground-state force repulsive (zero).
+class SpinThresholds(NamedTuple):
+    """Repulsion-threshold spins with and without the magnetostatic term."""
+    with_static: float
+    without_static: float
+    converged: bool
 
-    The magnetic force is exactly A*S + B*S^2 (broadband linear, static
-    image quadratic) and the electric part C is S-independent, so the
-    threshold is the positive root of B*S^2 + (A+G)*S + C with G the
-    per-spin gravity coefficient.  A and B are extracted from force
-    evaluations at S = 1 and S = 2, exact by the scaling invariants.
-    Returns inf when no positive root exists.
-    """
-    if mode not in ("with_static", "without_static"):
-        raise ValueError(f"mode must be with_static or without_static, "
-                         f"got {mode!r}")
-    include_static = mode == "with_static"
-    env = environment if gravity else EnvironmentSpec(g=0.0)
 
-    p1 = particle.with_spin(1.0)
-    p2 = particle.with_spin(2.0)
-    fb1 = force_breakdown(p1, surface, geometry, quad, mode="ground",
-                          include_static=include_static, environment=env)
-    fb2 = force_breakdown(p2, surface, geometry, quad, mode="ground",
-                          include_static=include_static, environment=env)
-    c = fb1.f_e
-    f_m1 = fb1.f_m_minus + fb1.f_m_z
-    f_m2 = fb2.f_m_minus + fb2.f_m_z
-    b = (f_m2 - 2.0 * f_m1) / 2.0
-    a = f_m1 - b
-    g_per_spin = fb1.f_gravity  # at S = 1, gravity is exactly per-spin
-    lin = a + g_per_spin
-
+def _smallest_positive_root(b: float, lin: float, c: float) -> float:
+    """Smallest positive root of b*S^2 + lin*S + c, inf when none exists."""
     if abs(b) < 1e-30:
         if lin <= 0:
             log.warning("no positive threshold: linear coefficient %.3g <= 0",
@@ -289,6 +223,28 @@ def spin_threshold(particle: ParticleSpec, surface: SurfaceModel,
         log.warning("no positive threshold: roots %s", roots)
         return math.inf
     return pos[0]
+
+
+def spin_threshold(particle: ParticleSpec, surface: SurfaceModel,
+                   geometry: Geometry, quad: QuadratureConfig,
+                   environment: EnvironmentSpec = EnvironmentSpec(),
+                   ) -> SpinThresholds:
+    """Smallest spins making the total ground-state force repulsive (zero).
+
+    The magnetic force is exactly A*S + B*S^2 (broadband linear, static
+    image quadratic), the electric part C is S-independent and gravity is
+    G*S, so one force breakdown at S = 1 gives every coefficient.  The
+    thresholds are the positive roots of B*S^2 + (A+G)*S + C (with the
+    static term) and (A+G)*S + C (without it); inf when none exists.
+    """
+    fb = force_breakdown(particle.with_spin(1.0), surface, geometry, quad,
+                         environment=environment)
+    lin = fb.f_m_minus + fb.f_gravity
+    return SpinThresholds(
+        with_static=_smallest_positive_root(fb.f_m_z, lin, fb.f_e),
+        without_static=_smallest_positive_root(0.0, lin, fb.f_e),
+        converged=fb.converged,
+    )
 
 
 def approx_total_force_excited(particle: ParticleSpec, geometry: Geometry,

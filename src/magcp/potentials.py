@@ -347,11 +347,11 @@ def u_m_excited0(particle: ParticleSpec, surface: SurfaceModel,
                  deriv: bool = False, strict: bool = True):
     """Resonant magnetic shift of the |S, m_S = 0> sublevel.
 
-    Carries the superradiant S(S+1) enhancement.  The off-resonant
-    broadband contributions of this sublevel cancel pairwise, so the
-    resonant real-frequency integral is the whole shift; see
-    u_m_excited0_decomposed for the explicit check.  With deriv=True
-    returns d/dz_tilde.
+    Carries the superradiant S(S+1) enhancement.  The co- and
+    counter-rotating broadband terms of this sublevel are the same
+    imaginary-axis integral with opposite signs and cancel exactly, so
+    the resonant real-frequency integral is the whole shift.  With
+    deriv=True returns d/dz_tilde.
     """
     res = _resonant_j(particle, surface, geometry, quad,
                       deriv=1 if deriv else 0)
@@ -364,36 +364,6 @@ def u_m_excited0(particle: ParticleSpec, surface: SurfaceModel,
     if strict and not res.converged:
         raise QuadratureFailure("resonant magnetic shift did not converge", res)
     return value, res
-
-
-def u_m_excited0_decomposed(particle: ParticleSpec, surface: SurfaceModel,
-                            geometry: Geometry, quad: QuadratureConfig,
-                            strict: bool = True):
-    """Resonant shift plus the mutually cancelling off-resonant pair.
-
-    The co- and counter-rotating broadband terms of the m_S = 0 sublevel
-    are the same imaginary-axis integral with opposite signs; both are
-    evaluated by independent quadratures so the cancellation is exercised
-    numerically rather than assumed.
-    """
-    resonant, res_r = u_m_excited0(particle, surface, geometry, quad,
-                                   strict=strict)
-    minus = _ground_double(particle, surface, geometry, quad, "magnetic",
-                           deriv=False)
-    weight = 3.0 / (8.0 * math.pi) * particle.omega_tilde * particle.eta \
-        * particle.spin * (particle.spin + 1.0) / 2.0
-    off_minus = weight * minus.value
-    plus = _ground_double(particle, surface, geometry, quad, "magnetic",
-                          deriv=False)
-    off_plus = -weight * plus.value
-    total = resonant + off_minus + off_plus
-    combined = IntegralResult(
-        total,
-        res_r.error_estimate + minus.error_estimate + plus.error_estimate,
-        res_r.evaluations + minus.evaluations + plus.evaluations,
-        res_r.converged and minus.converged and plus.converged,
-    )
-    return total, combined
 
 
 def u_m0_pc_closed(particle: ParticleSpec, geometry: Geometry) -> float:
@@ -448,18 +418,40 @@ def delta_gamma_e(particle: ParticleSpec, surface: SurfaceModel,
 # ---------------------------------------------------------------------------
 # aggregate helpers
 
+def component(name: str, particle: ParticleSpec, surface: SurfaceModel,
+              geometry: Geometry, quad: QuadratureConfig,
+              deriv: bool = False):
+    """(value, IntegralResult) of one shift, or of its d/dz_tilde.
+
+    name is "electric", "magnetic" (broadband), "static" or "excited0".
+    This is the one place that picks a representation: above a perfect
+    conductor the electric and broadband magnetic shifts use the
+    single-integral closed forms, which agree with the double integrals
+    and cost far less; everything else uses the generic evaluator.  The
+    evaluators are looked up by name on every call, so a wrapper bound
+    to the module name sees each call.  Never raises on non-convergence.
+    """
+    if isinstance(surface, PerfectConductor) and name in ("electric",
+                                                          "magnetic"):
+        closed = u_e_pc_closed if name == "electric" else u_m_pc_closed
+        return closed(particle, geometry, quad, deriv=deriv, strict=False)
+    evaluator = {"electric": u_e_ground, "magnetic": u_m_ground_broadband,
+                 "static": u_m_static, "excited0": u_m_excited0}[name]
+    return evaluator(particle, surface, geometry, quad, deriv=deriv,
+                     strict=False)
+
+
 def potential_breakdown(particle: ParticleSpec, surface: SurfaceModel,
                         geometry: Geometry, quad: QuadratureConfig,
                         include_excited0: bool = False) -> PotentialBreakdown:
-    ue, res_e = u_e_ground(particle, surface, geometry, quad, strict=False)
-    um, res_m = u_m_ground_broadband(particle, surface, geometry, quad,
-                                     strict=False)
-    uz, res_z = u_m_static(particle, surface, geometry, quad, strict=False)
+    args = (particle, surface, geometry, quad)
+    ue, res_e = component("electric", *args)
+    um, res_m = component("magnetic", *args)
+    uz, res_z = component("static", *args)
     u0 = None
     res0_ok = True
     if include_excited0:
-        u0, res0 = u_m_excited0(particle, surface, geometry, quad,
-                                strict=False)
+        u0, res0 = component("excited0", *args)
         res0_ok = res0.converged
     return PotentialBreakdown(
         u_e_minus=ue, u_m_minus=um, u_m_z=uz,

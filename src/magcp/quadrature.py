@@ -1,5 +1,5 @@
-"""Adaptive Gauss-Kronrod quadrature for semi-infinite, nested and
-split oscillatory integrals.
+"""Adaptive Gauss-Kronrod quadrature for finite, semi-infinite and
+nested integrals.
 
 All integrators share a deterministic adaptive core: a G7-K15 rule on a
 panel heap, with the final sum taken over panels sorted by position so that
@@ -378,30 +378,3 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
         f"inner integral non-converged at outer x = {stats['failed_at']!r}")
     return IntegralResult(outer.value, err, outer.evaluations + stats["evals"],
                           converged, level=level)
-
-
-def integrate_oscillatory_split(f, split_at: float, config: QuadratureConfig,
-                                phase_rate: float | None = None,
-                                propagating_in_u=None,
-                                tail_scale: float | None = None,
-                                ) -> IntegralResult:
-    """Integrate over [0, inf) with distinct treatment below/above split_at.
-
-    Below the split the integrand may oscillate with phase velocity
-    ``phase_rate`` (rad per unit abscissa); panels are then capped at half
-    an oscillation period.  When ``propagating_in_u`` is given it replaces
-    f on the lower sector, already transformed to u = sqrt(split^2 - x^2)
-    (the substitution removes the inverse-square-root endpoint factor at
-    the split; the phase there goes like exp(i*phase_rate*u)).  Above the
-    split the integrand must decay and is handled as a semi-infinite tail.
-    """
-    if split_at <= 0:
-        raise ValueError(f"split_at must be positive, got {split_at}")
-    cap = None
-    if phase_rate is not None and phase_rate > 0:
-        cap = np.pi / phase_rate
-    lower_f = propagating_in_u if propagating_in_u is not None else f
-    lower = integrate_finite(lower_f, 0.0, split_at, config,
-                             max_panel_width=cap)
-    upper = integrate_semi_infinite(f, split_at, config, tail_scale=tail_scale)
-    return lower + upper

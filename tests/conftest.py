@@ -1,11 +1,12 @@
 """Shared fixtures: reference particle, gold-like surfaces, tolerances."""
 
 import math
+from collections import Counter
 
 import pytest
 
 from magcp import Drude, PerfectConductor, Plasma, QuadratureConfig, \
-    build_particle
+    build_particle, potentials
 
 OMEGA_E = 2.0 * math.pi * 1.0e15
 OMEGA_M = 2.0 * math.pi * 1.0e10
@@ -48,3 +49,26 @@ def quad_fast():
     # metal double integrals are much cheaper at this tolerance and the
     # acceptance tolerances are percent-level
     return QuadratureConfig(rel_tol=1e-6, abs_tol=1e-14)
+
+
+# the component evaluators a representation choice can route to
+COUNTED_COMPONENTS = ("u_e_ground", "u_m_ground_broadband", "u_m_static",
+                      "u_e_pc_closed", "u_m_pc_closed")
+
+
+@pytest.fixture
+def component_calls(monkeypatch):
+    """Counter of calls per component evaluator.
+
+    Each evaluator is wrapped by rebinding its name in magcp.potentials,
+    as the benchmark's tracer does, so a caller that looked the function
+    up elsewhere would go uncounted.
+    """
+    counts = Counter()
+    for name in COUNTED_COMPONENTS:
+        def counting(*args, _fn=getattr(potentials, name), _name=name,
+                     **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(potentials, name, counting)
+    return counts

@@ -138,11 +138,10 @@ def test_criterion_3_magnetostatic_term():
 def test_criterion_4_spin_thresholds():
     p = make_particle()
     g_near = geo(p, 1e-3)
-    s0 = spin_threshold(p, PC, g_near, QUAD, mode="with_static")
-    s0_cp = spin_threshold(p, PC, g_near, QUAD, mode="without_static")
+    s0, s0_cp, _ = spin_threshold(p, PC, g_near, QUAD)
     g10 = Geometry(10e-9)
-    s_drude = spin_threshold(p, GOLD, g10, QUAD_FAST, mode="with_static")
-    s_plasma = spin_threshold(p, PLASMA, g10, QUAD_FAST, mode="with_static")
+    s_drude = spin_threshold(p, GOLD, g10, QUAD_FAST).with_static
+    s_plasma = spin_threshold(p, PLASMA, g10, QUAD_FAST).with_static
     target = math.sqrt(0.5 / p.eta)
     checks = [
         ("S0 = sqrt(1/(2 eta)) = 48.4 +- 0.5", abs(s0 - 48.4) < 0.5,

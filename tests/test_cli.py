@@ -125,6 +125,28 @@ def test_threshold_subcommand(tmp_path):
     assert float(row[2]) == pytest.approx(4694.7, rel=0.02)
 
 
+def test_threshold_computes_each_integral_once(tmp_path, component_calls):
+    doc = base_doc(surface={"model": "plasma", "omega_p": 1.36e16},
+                   grid={"z_tilde": [0.1, 2.0]},
+                   quadrature={"rel_tol": 1e-6})
+    code, text = run(tmp_path, doc, "threshold")
+    assert code == EXIT_OK
+    assert len(text.splitlines()) == 2 + 2
+    assert component_calls == {"u_e_ground": 2, "u_m_ground_broadband": 2,
+                               "u_m_static": 2}
+
+
+def test_threshold_nonconvergence_exit(tmp_path):
+    doc = base_doc(surface={"model": "drude", "omega_p": 1.36e16,
+                            "gamma": 1e14},
+                   grid={"z_tilde": [1.0]},
+                   quadrature={"rel_tol": 1e-15, "abs_tol": 0.0,
+                               "max_subdivisions": 10})
+    code, text = run(tmp_path, doc, "threshold")
+    assert code == EXIT_NOT_CONVERGED
+    assert len(text.splitlines()) == 2 + 1  # the row is still written
+
+
 def test_validate_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc())
     assert main(["validate", "--config", cfg]) == EXIT_OK

@@ -15,9 +15,8 @@ from magcp.materials import (
     PerfectConductor,
     Plasma,
     fresnel_imag_axis,
-    fresnel_real_freq,
+    fresnel_real_freq_from_kappa,
     fresnel_static_limit,
-    kappa_perp_real_freq,
     permittivity_imag_axis,
     permittivity_real_freq,
 )
@@ -25,6 +24,17 @@ from magcp.materials import (
 GOLD = Drude(omega_p=1.36e16, gamma=1.0e14)
 PLASMA = Plasma(omega_p=1.36e16)
 PC = PerfectConductor()
+
+
+def kappa_perp(k_par, w):
+    """Vacuum decay constant on the fixed real-frequency branch:
+    -i*sqrt(k0^2 - k_par^2) propagating, +sqrt(k_par^2 - k0^2) evanescent."""
+    diff = k_par**2 - (w / sc.c) ** 2
+    return math.sqrt(diff) if diff >= 0 else -1j * math.sqrt(-diff)
+
+
+def fresnel_real(model, k_par, w):
+    return fresnel_real_freq_from_kappa(model, kappa_perp(k_par, w), w)
 
 
 def test_model_validation():
@@ -147,7 +157,7 @@ def test_plasma_to_pc_degeneracy():
 def test_real_freq_branch_normal_incidence():
     # at k_par = 0 and omega = omega_p the permittivity vanishes; the
     # limit of r_p is -1 and of r_s is +1
-    pair = fresnel_real_freq(PLASMA, 0.0, PLASMA.omega_p)
+    pair = fresnel_real(PLASMA, 0.0, PLASMA.omega_p)
     assert complex(pair.r_p) == pytest.approx(-1.0, abs=1e-10)
     assert complex(pair.r_s) == pytest.approx(1.0, abs=1e-10)
 
@@ -155,28 +165,32 @@ def test_real_freq_branch_normal_incidence():
 def test_real_freq_continuity_at_light_line():
     w = 2.0e15
     k0 = w / sc.c
-    below = fresnel_real_freq(GOLD, k0 * (1.0 - 1e-9), w)
-    above = fresnel_real_freq(GOLD, k0 * (1.0 + 1e-9), w)
+    below = fresnel_real(GOLD, k0 * (1.0 - 1e-9), w)
+    above = fresnel_real(GOLD, k0 * (1.0 + 1e-9), w)
     assert complex(below.r_p) == pytest.approx(complex(above.r_p), abs=1e-3)
     assert complex(below.r_s) == pytest.approx(complex(above.r_s), abs=1e-3)
 
 
 def test_kappa_perp_branch():
+    # the propagating branch -i*u is the passive one for a lossy medium:
+    # |r_s| <= 1 there, while the opposite branch +i*u reflects more than
+    # it receives
     w = 1.0e15
-    k0 = w / sc.c
-    prop = complex(kappa_perp_real_freq(0.5 * k0, w))
-    evan = complex(kappa_perp_real_freq(2.0 * k0, w))
-    assert prop.real == pytest.approx(0.0, abs=1e-20)
-    assert prop.imag < 0.0
-    assert evan.imag == pytest.approx(0.0, abs=1e-20)
-    assert evan.real > 0.0
+    u = 0.5 * w / sc.c
+    passive = fresnel_real_freq_from_kappa(GOLD, -1j * u, w)
+    active = fresnel_real_freq_from_kappa(GOLD, 1j * u, w)
+    assert abs(complex(passive.r_s)) <= 1.0
+    assert abs(complex(active.r_s)) > 1.0
+    # the evanescent branch is real and positive
+    evan = complex(kappa_perp(2.0 * w / sc.c, w))
+    assert evan.imag == 0.0 and evan.real > 0.0
 
 
 def test_lossless_plasma_outgoing_branch():
     # inside the gap (omega < omega_p) the transmitted wave must decay;
     # |r| = 1 for both polarizations in the propagating sector
     w = 0.5 * PLASMA.omega_p
-    pair = fresnel_real_freq(PLASMA, 0.2 * w / sc.c, w)
+    pair = fresnel_real(PLASMA, 0.2 * w / sc.c, w)
     assert abs(complex(pair.r_s)) == pytest.approx(1.0, rel=1e-12)
     assert abs(complex(pair.r_p)) == pytest.approx(1.0, rel=1e-12)
 
@@ -188,8 +202,8 @@ def test_surface_plasmon_pole_region():
     eps = permittivity_real_freq(GOLD, w_res * 0.999)
     assert eps.real < -1.0
     k_par = 10.0 * w_res / sc.c
-    on = fresnel_real_freq(GOLD, k_par, w_res)
-    off = fresnel_real_freq(GOLD, k_par, 0.5 * w_res)
+    on = fresnel_real(GOLD, k_par, w_res)
+    off = fresnel_real(GOLD, k_par, 0.5 * w_res)
     assert abs(complex(on.r_p)) > 10.0 * abs(complex(off.r_p))
 
 
@@ -208,7 +222,7 @@ def test_imag_axis_reflections_bounded(xi, kappa_factor):
 def test_real_freq_passivity(w, k_factor):
     # propagating-sector reflectivity cannot exceed unity for a lossy model
     k_par = k_factor * w / sc.c
-    pair = fresnel_real_freq(GOLD, k_par, w)
+    pair = fresnel_real(GOLD, k_par, w)
     if k_factor < 1.0:
         assert abs(complex(pair.r_s)) <= 1.0 + 1e-9
         assert abs(complex(pair.r_p)) <= 1.0 + 1e-9

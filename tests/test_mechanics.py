@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from magcp import Drude, Geometry, PerfectConductor, QuadratureConfig
+from magcp import Drude, Geometry, PerfectConductor, Plasma, \
+    QuadratureConfig
 from magcp.mechanics import (
     NoEquilibrium,
     RegimeViolation,
@@ -17,8 +18,13 @@ from magcp.params import EnvironmentSpec
 
 from conftest import GOLD_GAMMA, GOLD_OMEGA_P, make_particle
 
+# a tolerance the Drude double integrals cannot meet in 10 subdivisions
+QUAD_IMPOSSIBLE = QuadratureConfig(rel_tol=1e-15, abs_tol=0.0,
+                                   max_subdivisions=10)
+
 PC = PerfectConductor()
 GOLD = Drude(omega_p=GOLD_OMEGA_P, gamma=GOLD_GAMMA)
+PLASMA = Plasma(omega_p=GOLD_OMEGA_P)
 QUAD = QuadratureConfig()
 QUAD_FAST = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-14)
 
@@ -57,6 +63,33 @@ def test_analytic_vs_finite_difference_drude():
                         finite_difference=True)
     assert f.f_e == pytest.approx(a.f_e, rel=1e-4)
     assert f.f_m_minus == pytest.approx(a.f_m_minus, rel=1e-4)
+
+
+def test_finite_difference_reports_non_convergence():
+    p = make_particle(spin=100.0)
+    for fd in (False, True):
+        fb = force_breakdown(p, GOLD, geo(p, 1.0), QUAD_IMPOSSIBLE,
+                             finite_difference=fd)
+        assert not fb.converged
+
+
+def test_force_mode_validation():
+    p = make_particle()
+    for fd in (False, True):
+        with pytest.raises(ValueError):
+            force_breakdown(p, PC, geo(p, 1.0), QUAD, mode="bogus",
+                            finite_difference=fd)
+
+
+def test_pc_forces_use_closed_forms(component_calls):
+    p = make_particle(spin=100.0)
+    force_breakdown(p, PC, geo(p, 1.0), QUAD)
+    assert component_calls == {"u_e_pc_closed": 1, "u_m_pc_closed": 1,
+                               "u_m_static": 1}
+    component_calls.clear()
+    force_breakdown(p, PC, geo(p, 1.0), QUAD, finite_difference=True)
+    assert component_calls == {"u_e_pc_closed": 2, "u_m_pc_closed": 2,
+                               "u_m_static": 2}
 
 
 def test_excited_mode_breakdown():
@@ -102,26 +135,33 @@ def test_no_equilibrium_without_gravity():
 
 def test_threshold_near_field_values():
     p = make_particle()
-    g = geo(p, 1e-3)
-    s0 = spin_threshold(p, PC, g, QUAD, mode="with_static", gravity=False)
-    assert s0 == pytest.approx(math.sqrt(0.5 / p.eta), rel=0.02)
-    s0_cp = spin_threshold(p, PC, g, QUAD, mode="without_static",
-                           gravity=False)
-    assert s0_cp == pytest.approx(1.0 / p.eta, rel=0.02)
+    th = spin_threshold(p, PC, geo(p, 1e-3), QUAD,
+                        environment=EnvironmentSpec(g=0.0))
+    assert th.converged
+    assert th.with_static == pytest.approx(math.sqrt(0.5 / p.eta), rel=0.02)
+    assert th.without_static == pytest.approx(1.0 / p.eta, rel=0.02)
 
 
 def test_threshold_unreachable_far_away():
     # far from the surface gravity wins at every spin (no static, linear)
     p = make_particle()
-    s = spin_threshold(p, PC, geo(p, 1e3), QUAD, mode="without_static",
-                       gravity=True)
-    assert s == math.inf
+    th = spin_threshold(p, PC, geo(p, 1e3), QUAD)
+    assert th.without_static == math.inf
 
 
-def test_threshold_mode_validation():
-    p = make_particle()
-    with pytest.raises(ValueError):
-        spin_threshold(p, PC, geo(p, 1.0), QUAD, mode="bogus")
+def test_force_vanishes_at_thresholds():
+    # the unit-spin coefficients reproduce the force at another spin:
+    # F(S) = C + A*S + B*S^2 + G*S vanishes at each threshold
+    for surface, quad in ((PC, QUAD), (PLASMA, QUAD_FAST)):
+        p = make_particle()
+        g = geo(p, 0.3)
+        th = spin_threshold(p, surface, g, quad)
+        at_s = force_breakdown(p.with_spin(th.with_static), surface, g, quad)
+        scale = abs(at_s.f_e)
+        assert abs(at_s.f_total) < 1e-9 * scale
+        at_s = force_breakdown(p.with_spin(th.without_static), surface, g,
+                               quad)
+        assert abs(at_s.f_total_cp) < 1e-9 * scale
 
 
 def test_excited_two_term_force():

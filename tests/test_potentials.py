@@ -25,7 +25,6 @@ from magcp.potentials import (
     u_e_pc_closed,
     u_m0_pc_closed,
     u_m_excited0,
-    u_m_excited0_decomposed,
     u_m_ground_broadband,
     u_m_pc_closed,
     u_m_static,
@@ -140,15 +139,6 @@ def test_excited_closed_form_and_scaling():
     assert v3 / v1 == pytest.approx(3.0 * 4.0 / 2.0, rel=1e-9)
 
 
-def test_excited_decomposition_consistent():
-    p = make_particle(spin=2.0, m_s=0.0)
-    g = geo(p, 0.01 / p.omega_tilde)
-    total, res = u_m_excited0(p, PC, g, QUAD)
-    decomposed, combined = u_m_excited0_decomposed(p, PC, g, QUAD)
-    assert combined.converged
-    assert decomposed == pytest.approx(total, rel=1e-6)
-
-
 def test_flip_weight_values():
     assert matrix_element_flip(2.0, -2.0) == 0.0
     assert matrix_element_flip(2.0, 0.0) == 6.0
@@ -195,6 +185,19 @@ def test_breakdown_totals_consistent():
     db = decay_breakdown(p, PC, g, QUAD)
     assert db.delta_gamma_m == 0.0  # stretched sublevel
     assert db.converged
+
+
+def test_pc_breakdown_uses_closed_forms(component_calls):
+    p = make_particle(spin=50.0)
+    g = geo(p, 1.5)
+    bd = potential_breakdown(p, PC, g, QUAD)
+    assert component_calls == {"u_e_pc_closed": 1, "u_m_pc_closed": 1,
+                               "u_m_static": 1}
+    # the closed forms agree with the double integrals they replace
+    assert bd.u_e_minus == pytest.approx(u_e_ground(p, PC, g, QUAD)[0],
+                                         rel=1e-9)
+    assert bd.u_m_minus == pytest.approx(
+        u_m_ground_broadband(p, PC, g, QUAD)[0], rel=1e-9)
 
 
 def test_strict_mode_raises_on_impossible_tolerance():

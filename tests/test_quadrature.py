@@ -17,7 +17,6 @@ from magcp.quadrature import (
     _semi_infinite_rows,
     integrate_finite,
     integrate_nested,
-    integrate_oscillatory_split,
     integrate_semi_infinite,
 )
 
@@ -220,17 +219,6 @@ def test_nested_non_finite_inner_integrand_raises():
     f = lambda x, y: np.where(y > 3.0, np.nan, np.exp(-y))
     with pytest.raises(NonFiniteIntegrand, match=r"non-finite at x = "):
         integrate_nested(f, 0.0, lambda x: x, CFG)
-
-
-def test_oscillatory_split_matches_closed_form():
-    # int_0^1 cos(a u) du + int_1^inf e^{-a v} dv, a = 7
-    a = 7.0
-    res = integrate_oscillatory_split(
-        lambda v: np.exp(-a * v), 1.0, CFG, phase_rate=a,
-        propagating_in_u=lambda u: np.cos(a * u))
-    exact = math.sin(a) / a + math.exp(-a) / a
-    assert res.converged
-    assert res.value == pytest.approx(exact, rel=1e-10)
 
 
 def test_complex_integrand_supported():
