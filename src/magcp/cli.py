@@ -256,7 +256,7 @@ def cmd_equilibrium(cfg: JobConfig) -> int:
         "residual_force": eq.residual_force, "method": eq.method,
         "analytic_estimate": eq.analytic_estimate,
     }], cfg)
-    return EXIT_OK
+    return EXIT_OK if eq.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_threshold(cfg: JobConfig) -> int:

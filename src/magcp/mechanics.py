@@ -66,6 +66,7 @@ class Equilibrium:
     residual_force: float
     method: str
     analytic_estimate: float | None = None
+    converged: bool = True
 
 
 _MODE_COMPONENTS = {"ground": ("electric", "magnetic", "static"),
@@ -135,12 +136,17 @@ def force_breakdown(particle: ParticleSpec, surface: SurfaceModel,
 
 def _total_force(particle, surface, quad, mode, include_static, environment,
                  use_cp_total):
+    """The total force as a function of z_tilde, and the list it appends
+    each evaluation's converged flag to."""
+    flags: list[bool] = []
+
     def f(zt: float) -> float:
         fb = force_breakdown(particle, surface, Geometry(zt / particle.k_e),
                              quad, mode=mode, include_static=include_static,
                              environment=environment)
+        flags.append(fb.converged)
         return fb.f_total_cp if use_cp_total else fb.f_total
-    return f
+    return f, flags
 
 
 def _analytic_equilibrium(particle: ParticleSpec,
@@ -169,13 +175,14 @@ def find_equilibrium(particle: ParticleSpec, surface: SurfaceModel,
     The bracket endpoints must straddle a sign change of the total force.
     include_static=False balances only the Casimir-Polder parts against
     gravity (the f_total_cp convention).  Stability comes from the sign of
-    the numerical force slope at the root.
+    the numerical force slope at the root.  converged is true only when
+    every force evaluation of the search, the slope and the residual is.
     """
     lo, hi = bracket
     if not (0 < lo < hi):
         raise BracketError(f"need 0 < lo < hi, got {bracket}")
-    f = _total_force(particle, surface, quad, mode, include_static,
-                     environment, use_cp_total=not include_static)
+    f, flags = _total_force(particle, surface, quad, mode, include_static,
+                            environment, use_cp_total=not include_static)
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0 or f_hi == 0.0:
         root = lo if f_lo == 0.0 else hi
@@ -187,13 +194,15 @@ def find_equilibrium(particle: ParticleSpec, surface: SurfaceModel,
         root = brentq(f, lo, hi, rtol=rel_tol)
     h = 1e-3 * root
     slope = (f(root + h) - f(root - h)) / (2 * h)
+    residual = f(root)
     return Equilibrium(
         z_tilde_eq=root,
         stable=slope < 0,
-        residual_force=f(root),
+        residual_force=residual,
         method="numeric-root",
         analytic_estimate=_analytic_equilibrium(particle, environment, mode,
                                                 include_static),
+        converged=all(flags),
     )
 
 

@@ -1,19 +1,20 @@
 """Adaptive Gauss-Kronrod quadrature for finite, semi-infinite and
 nested integrals.
 
-All integrators share a deterministic adaptive core: a G7-K15 rule on a
-panel heap, with the final sum taken over panels sorted by position so that
-results are bit-stable for identical inputs regardless of subdivision
-order.  Integrands are called with a numpy array of abscissae and must
-return an array of the same shape (real or complex).  The nested
-integrator runs the inner integrals of all outer nodes of a panel in
+All integrators share one deterministic adaptive core on panel arrays: a
+G7-K15 rule applied to all initial panels in one integrand call, then to
+the two halves of the worst panel of every unconverged integral in one
+call per bisection step.  The final sum is taken over panels sorted by
+position, so results are bit-stable for identical inputs.  Integrands
+are called with a 1-d numpy array of abscissae, the 15 nodes of each
+panel side by side, and must return an array of the same shape (real or
+complex) whose entries depend only on their own abscissa.  The nested
+integrator runs the inner integrals of all outer nodes of a call in
 lockstep, each taking the panel decisions it would take alone.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +39,11 @@ _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 nodes ascending
 _WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+
+# QUADPACK's round-off floor on a panel's error, 50*eps*resabs, applies
+# where resabs exceeds tiny/(50*eps)
+_EPS50 = 50.0 * np.finfo(float).eps
+_RESABS_FLOOR = np.finfo(float).tiny / _EPS50
 
 
 class QuadratureError(Exception):
@@ -88,27 +94,98 @@ class IntegralResult:
         )
 
 
-def _panel(f, a: float, b: float):
-    """G7/K15 estimates on [a, b] plus a QUADPACK-style error bound."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
-    y = np.asarray(f(x))
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
+def _panels(g, lo, hi):
+    """G7/K15 estimates and QUADPACK-style error bounds of every panel
+    [lo, hi] of shape (n, p), with one call of ``g``.
+
+    ``g`` gets the abscissae as an (n, 15*p) array, each row the 15 nodes
+    of its panels side by side, and returns values of that shape.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[..., None] + half[..., None] * _NODES
+    y = np.asarray(g(x.reshape(len(x), -1))).reshape(x.shape)
+    finite = np.isfinite(y)
+    if not finite.all():
+        bad = x[~finite][0]
         raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
-    k15 = half * np.sum(_WEIGHTS_K * y)
-    g7 = half * np.sum(_WEIGHTS_G * y)
-    resabs = half * np.sum(_WEIGHTS_K * np.abs(y))
-    mean = k15 / (b - a)
-    resasc = half * np.sum(_WEIGHTS_K * np.abs(y - mean))
-    err = abs(k15 - g7)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    eps = np.finfo(float).eps
-    if resabs > np.finfo(float).tiny / (50.0 * eps):
-        err = max(err, 50.0 * eps * resabs)
-    return k15, err, resabs
+    k15 = half * np.add.reduce(_WEIGHTS_K * y, axis=-1)
+    g7 = half * np.add.reduce(_WEIGHTS_G * y, axis=-1)
+    resabs = half * np.add.reduce(_WEIGHTS_K * np.abs(y), axis=-1)
+    mean = k15 / (hi - lo)
+    resasc = half * np.add.reduce(_WEIGHTS_K * np.abs(y - mean[..., None]),
+                                  axis=-1)
+    err = np.abs(k15 - g7)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    safe = np.where(scaled, resasc, 1.0)
+    err = np.where(scaled,
+                   resasc * np.minimum(1.0, (200.0 * err / safe) ** 1.5), err)
+    floor = resabs > _RESABS_FLOOR
+    err = np.where(floor, np.maximum(err, _EPS50 * resabs), err)
+    return k15, err
+
+
+def _adaptive_rows(g, edges, n, config: QuadratureConfig):
+    """Adaptive G7-K15 of n integrals over the same initial panels.
+
+    Row i integrates t -> g(rows, t)[k] where rows[k] == i: ``g`` gets an
+    index array of rows and abscissae t of shape (len(rows), m) and
+    returns values of that shape.  The initial panels lie between
+    ``edges``; all of them go to ``g`` in one call.  Then the rows advance
+    in lockstep: each step, every row that has not met its tolerance
+    bisects its worst panel (largest error, oldest first), and the two
+    halves of all such rows go to ``g`` in one call.  A row stops when the
+    sum of its errors meets max(rel_tol*|sum of values|, abs_tol) or after
+    max_subdivisions bisections.  Returns each row's value and error, both
+    summed in position order, and its evaluation count, as arrays.
+    """
+    edges = np.asarray(edges, dtype=float)
+    p = len(edges) - 1
+    rows = np.arange(n)     # the rows still short of their tolerance
+    v, e = _panels(lambda t: g(rows, t), np.broadcast_to(edges[:-1], (n, p)),
+                   np.broadcast_to(edges[1:], (n, p)))
+    # Panel j of row i is [lo, hi][i, j].  Slots are filled in creation
+    # order: a bisection appends both halves and empties its parent's
+    # slot (lo = inf, value and error 0), so the first slot of largest
+    # error holds the oldest worst panel.
+    width = p + 2 * config.max_subdivisions
+    lo = np.full((n, width), np.inf)
+    hi = np.zeros((n, width))
+    val = np.zeros((n, width), dtype=v.dtype)
+    err = np.zeros((n, width))
+    lo[:, :p], hi[:, :p], val[:, :p], err[:, :p] = edges[:-1], edges[1:], v, e
+    evals = np.full(n, 15 * p)
+    used = p                # slots filled so far, by every row alike
+    while used < width:
+        live = err[rows, :used]
+        tol = np.maximum(config.rel_tol * np.abs(val[rows, :used].sum(axis=1)),
+                         config.abs_tol)
+        short = ~(live.sum(axis=1) <= tol)
+        rows = rows[short]
+        if rows.size == 0:
+            break
+        j = live[short].argmax(axis=1)
+        lo_j, hi_j = lo[rows, j], hi[rows, j]
+        ends = np.array([lo_j, 0.5 * (lo_j + hi_j), hi_j])
+        new_lo, new_hi = ends[:2].T, ends[1:].T
+        v, e = _panels(lambda t: g(rows, t), new_lo, new_hi)
+        lo[rows, used:used + 2] = new_lo
+        hi[rows, used:used + 2] = new_hi
+        val[rows, used:used + 2] = v
+        err[rows, used:used + 2] = e
+        lo[rows, j] = np.inf
+        val[rows, j] = 0.0
+        err[rows, j] = 0.0
+        evals[rows] += 30
+        used += 2
+
+    # sequential sums in position order; empty slots sort last and add 0
+    order = np.argsort(lo[:, :used], axis=1, kind="stable")
+    value = np.cumsum(np.take_along_axis(val[:, :used], order, axis=1),
+                      axis=1)[:, -1]
+    error = np.cumsum(np.take_along_axis(err[:, :used], order, axis=1),
+                      axis=1)[:, -1]
+    return value, error, evals
 
 
 def integrate_finite(f, a: float, b: float, config: QuadratureConfig,
@@ -119,7 +196,9 @@ def integrate_finite(f, a: float, b: float, config: QuadratureConfig,
     ``breakpoints`` are interior abscissae used for the initial
     panelization; ``max_panel_width`` additionally caps the initial panel
     size (used for oscillatory integrands: at most half a period per
-    panel).  Neither counts against ``max_subdivisions``.
+    panel).  Neither counts against ``max_subdivisions``.  ``f`` is called
+    once for all initial panels and once per bisection, with a 1-d array
+    of the 15 nodes of each panel, and must be elementwise.
     """
     pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
     edges: list[float] = []
@@ -131,37 +210,14 @@ def integrate_finite(f, a: float, b: float, config: QuadratureConfig,
             edges.append(lo)
     edges.append(b)
 
-    heap: list[tuple[float, int, float, float, complex, float]] = []
-    counter = itertools.count()
-    evals = 0
-    resabs_total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, resabs = _panel(f, lo, hi)
-        evals += 15
-        resabs_total += resabs
-        heapq.heappush(heap, (-err, next(counter), lo, hi, val, err))
-
-    subdivisions = 0
-    while subdivisions < config.max_subdivisions:
-        total = sum(item[4] for item in heap)
-        total_err = sum(item[5] for item in heap)
-        if total_err <= max(config.rel_tol * abs(total), config.abs_tol):
-            break
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, err, _ = _panel(f, *seg)
-            evals += 15
-            heapq.heappush(heap, (-err, next(counter), seg[0], seg[1], val, err))
-        subdivisions += 1
-
-    panels = sorted(heap, key=lambda item: item[2])
-    total = sum(item[4] for item in panels)
-    total_err = float(sum(item[5] for item in panels))
+    value, error, evals = _adaptive_rows(
+        lambda rows, t: np.asarray(f(t.ravel())).reshape(t.shape),
+        edges, 1, config)
+    total, total_err = value[0], float(error[0])
     converged = total_err <= max(config.rel_tol * abs(total), config.abs_tol)
     if isinstance(total, complex) and total.imag == 0.0:
         total = total.real
-    return IntegralResult(total, total_err, evals, converged)
+    return IntegralResult(total, total_err, int(evals[0]), converged)
 
 
 def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
@@ -202,50 +258,16 @@ def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
     return IntegralResult(value, err, res.evaluations + 1, converged)
 
 
-def _panels(g, lo, hi):
-    """_panel on every panel [lo, hi] of shape (n, p) at once.
-
-    ``g`` gets the abscissae as an (n, 15*p) array, each row the 15 nodes
-    of its panels side by side.  Every arithmetic step is the one _panel
-    takes, elementwise, so each panel's (value, error) equals _panel's.
-    """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[..., None] + half[..., None] * _NODES
-    y = np.asarray(g(x.reshape(len(x), -1))).reshape(x.shape)
-    finite = np.isfinite(y)
-    if not np.all(finite):
-        bad = x[~finite][0]
-        raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
-    k15 = half * np.sum(_WEIGHTS_K * y, axis=-1)
-    g7 = half * np.sum(_WEIGHTS_G * y, axis=-1)
-    resabs = half * np.sum(_WEIGHTS_K * np.abs(y), axis=-1)
-    mean = k15 / (hi - lo)
-    resasc = half * np.sum(_WEIGHTS_K * np.abs(y - mean[..., None]), axis=-1)
-    err = np.abs(k15 - g7)
-    scaled = (resasc != 0.0) & (err != 0.0)
-    safe = np.where(scaled, resasc, 1.0)
-    err = np.where(scaled,
-                   resasc * np.minimum(1.0, (200.0 * err / safe) ** 1.5), err)
-    eps = np.finfo(float).eps
-    floor = resabs > np.finfo(float).tiny / (50.0 * eps)
-    err = np.where(floor, np.maximum(err, 50.0 * eps * resabs), err)
-    return k15, err
-
-
 def _semi_infinite_rows(f, x, lower, scale, config: QuadratureConfig):
     """integrate_semi_infinite of y -> f(x[i], y) from lower[i], for all i.
 
-    The rows advance in lockstep: each step, every row that has not met
-    its tolerance bisects its worst panel, and the two halves of all such
-    rows go to ``f`` in one call, with x of shape (n, 1) and y of shape
-    (n, 30).  Per row, the mapping, the rule, the error formula, the
-    choice of panel (largest error, oldest first), the budget, the tail
-    bound and the position-ordered sum are those of
-    integrate_semi_infinite, so each row gets its value, error estimate,
-    evaluation count and converged flag.  Returns those four as arrays.
+    The rows run through _adaptive_rows in lockstep, so ``f`` gets x of
+    shape (n, 1) and y of shape (n, m).  Per row, the mapping, the rule,
+    the panel decisions, the budget, the tail bound and the
+    position-ordered sum are those of integrate_semi_infinite, so each
+    row gets its value, error estimate, evaluation count and converged
+    flag.  Returns those four as arrays.
     """
-    n = len(x)
     x = x[:, None]
     a = lower[:, None]
     s = scale[:, None]
@@ -254,53 +276,12 @@ def _semi_infinite_rows(f, x, lower, scale, config: QuadratureConfig):
     span = 10.0 ** config.tail_decades
     t_max = span / (1.0 + span)
 
-    def mapped(rows):
-        def g(t):
-            one_m = 1.0 - t
-            return np.asarray(f(x[rows], a[rows] + s[rows] * t / one_m)) \
-                * (s[rows] / one_m**2)
-        return g
+    def g(rows, t):
+        one_m = 1.0 - t
+        return np.asarray(f(x[rows], a[rows] + s[rows] * t / one_m)) \
+            * (s[rows] / one_m**2)
 
-    # Panel j of row i is [lo, hi][i, j]; a bisection puts its left half
-    # in the parent's slot and its right half in the next free one.
-    # ``born`` keeps creation order, which breaks ties in the error.
-    width = config.max_subdivisions + 1
-    lo = np.full((n, width), np.inf)
-    hi = np.zeros((n, width))
-    val = np.zeros((n, width))
-    err = np.zeros((n, width))
-    born = np.zeros((n, width), dtype=int)
-    lo[:, 0] = 0.0
-    hi[:, 0] = t_max
-    val[:, :1], err[:, :1] = _panels(mapped(slice(None)), lo[:, :1],
-                                     hi[:, :1])
-    evals = np.full(n, 15)
-    rows = np.arange(n)     # the rows still short of their tolerance
-    for step in range(1, width):
-        tol = np.maximum(config.rel_tol * np.abs(val[rows, :step].sum(axis=1)),
-                         config.abs_tol)
-        rows = rows[~(err[rows, :step].sum(axis=1) <= tol)]
-        if rows.size == 0:
-            break
-        live = err[rows, :step]
-        worst = live == live.max(axis=1, keepdims=True)
-        j = np.where(worst, born[rows, :step], 2 * width).argmin(axis=1)
-        mid = 0.5 * (lo[rows, j] + hi[rows, j])
-        new_lo = np.stack([lo[rows, j], mid], axis=1)
-        new_hi = np.stack([mid, hi[rows, j]], axis=1)
-        v, e = _panels(mapped(rows), new_lo, new_hi)
-        for half, slot in ((0, j), (1, step)):
-            lo[rows, slot] = new_lo[:, half]
-            hi[rows, slot] = new_hi[:, half]
-            val[rows, slot] = v[:, half]
-            err[rows, slot] = e[:, half]
-            born[rows, slot] = 2 * step - 1 + half
-        evals[rows] += 30
-
-    # sequential sums in position order; empty slots sort last and add 0
-    order = np.argsort(lo, axis=1, kind="stable")
-    value = np.cumsum(np.take_along_axis(val, order, axis=1), axis=1)[:, -1]
-    error = np.cumsum(np.take_along_axis(err, order, axis=1), axis=1)[:, -1]
+    value, error, evals = _adaptive_rows(g, [0.0, t_max], len(x), config)
     x_max = a + s * span
     tail_bound = np.abs(np.asarray(f(x, x_max))) * x_max
     error = error + tail_bound[:, 0]
@@ -316,8 +297,10 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     """Double integral over x in [outer_lower, inf), y in [inner_lower(x), inf).
 
     ``inner_f(x, y)`` evaluates the integrand.  The inner integrals of
-    all outer nodes of a panel run together, so it is called with x of
-    shape (n, 1) and y of shape (n, m), and must return shape (n, m); it
+    all outer nodes of one outer integrand call run together (the 15
+    nodes of every initial outer panel, then the 30 of each outer
+    bisection), so it is called with x of shape (n, 1) and y of shape
+    (n, m), and must return shape (n, m); it
     must also accept a scalar x with a 1-d y.  ``inner_lower`` is a
     constant or a callable of x; ``inner_tail_scale`` likewise, or None.
     A callable gets the 1-d array of outer nodes and returns an array of

@@ -116,6 +116,17 @@ def test_nonconvergence_exit_with_partial_output(tmp_path):
     assert "false" in text  # partial rows are still written
 
 
+def test_equilibrium_nonconvergence_exit(tmp_path):
+    # the root is still found and printed, from forces that did not converge
+    doc = base_doc(surface={"model": "plasma", "omega_p": 1.36e16},
+                   quadrature={"rel_tol": 1e-15, "abs_tol": 0.0,
+                               "max_subdivisions": 10},
+                   equilibrium={"bracket": [1.0, 100.0]})
+    code, text = run(tmp_path, doc, "equilibrium")
+    assert code == EXIT_NOT_CONVERGED
+    assert "z_tilde_eq" in text and len(text.splitlines()) == 2 + 1
+
+
 def test_threshold_subcommand(tmp_path):
     doc = base_doc(grid={"z_tilde": [0.001]})
     code, text = run(tmp_path, doc, "threshold", "--gravity", "off")

@@ -1,18 +1,24 @@
 """Quadrature engine against closed-form and frozen oracles."""
 
+import heapq
+import itertools
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magcp import Drude, Geometry, potentials
+from magcp import Drude, Geometry, potentials, quadrature
 from magcp.quadrature import (
+    _NODES,
+    _WEIGHTS_G,
+    _WEIGHTS_K,
     IntegralResult,
     NonFiniteIntegrand,
     QuadratureConfig,
-    _panel,
     _panels,
     _semi_infinite_rows,
     integrate_finite,
@@ -23,6 +29,82 @@ from magcp.quadrature import (
 from conftest import GOLD_GAMMA, GOLD_OMEGA_P, make_particle
 
 CFG = QuadratureConfig()
+
+
+# Frozen reference: the heap-based adaptive core that integrate_finite
+# used before the panel-array core, one integrand call per panel.
+
+def _panel(f, a: float, b: float):
+    """G7/K15 estimates on [a, b] plus a QUADPACK-style error bound."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x = mid + half * _NODES
+    y = np.asarray(f(x))
+    if not np.all(np.isfinite(y)):
+        bad = x[~np.isfinite(y)][0]
+        raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
+    k15 = half * np.sum(_WEIGHTS_K * y)
+    g7 = half * np.sum(_WEIGHTS_G * y)
+    resabs = half * np.sum(_WEIGHTS_K * np.abs(y))
+    mean = k15 / (b - a)
+    resasc = half * np.sum(_WEIGHTS_K * np.abs(y - mean))
+    err = abs(k15 - g7)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    eps = np.finfo(float).eps
+    if resabs > np.finfo(float).tiny / (50.0 * eps):
+        err = max(err, 50.0 * eps * resabs)
+    return k15, err, resabs
+
+
+def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None):
+    """integrate_finite on a heap of panels, worst (then oldest) first."""
+    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
+    edges = []
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        if max_panel_width is not None and hi - lo > max_panel_width:
+            n = int(np.ceil((hi - lo) / max_panel_width))
+            edges.extend(np.linspace(lo, hi, n + 1)[:-1])
+        else:
+            edges.append(lo)
+    edges.append(b)
+
+    heap = []
+    counter = itertools.count()
+    evals = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err, _ = _panel(f, lo, hi)
+        evals += 15
+        heapq.heappush(heap, (-err, next(counter), lo, hi, val, err))
+
+    subdivisions = 0
+    while subdivisions < config.max_subdivisions:
+        total = sum(item[4] for item in heap)
+        total_err = sum(item[5] for item in heap)
+        if total_err <= max(config.rel_tol * abs(total), config.abs_tol):
+            break
+        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        for seg in ((lo, mid), (mid, hi)):
+            val, err, _ = _panel(f, *seg)
+            evals += 15
+            heapq.heappush(heap, (-err, next(counter), seg[0], seg[1], val, err))
+        subdivisions += 1
+
+    panels = sorted(heap, key=lambda item: item[2])
+    total = sum(item[4] for item in panels)
+    total_err = float(sum(item[5] for item in panels))
+    converged = total_err <= max(config.rel_tol * abs(total), config.abs_tol)
+    if isinstance(total, complex) and total.imag == 0.0:
+        total = total.real
+    return IntegralResult(total, total_err, evals, converged)
+
+
+def _heap_semi_infinite(f, lower_limit, config, tail_scale=None):
+    """integrate_semi_infinite with _heap_finite as its finite core."""
+    with mock.patch.object(quadrature, "integrate_finite", _heap_finite):
+        return integrate_semi_infinite(f, lower_limit, config,
+                                       tail_scale=tail_scale)
 
 
 def test_finite_polynomial_exact():
@@ -93,10 +175,11 @@ def test_nested_triangle_weighted():
 
 def _per_node_nested(inner_f, outer_lower, inner_lower, config,
                      outer_tail_scale=None, inner_tail_scale=None):
-    """integrate_nested with one integrate_semi_infinite per outer node.
+    """integrate_nested with one _heap_semi_infinite per outer node.
 
-    The reference for the lockstep inner integrals: same budget split,
-    same bookkeeping, a plain loop over the outer nodes.  ``inner_lower``
+    The reference for the lockstep inner integrals and the batched outer
+    panels: same budget split, same bookkeeping, the heap core and a
+    plain loop over the outer nodes.  ``inner_lower``
     and ``inner_tail_scale`` must be callables.
     """
     inner_cfg = QuadratureConfig(
@@ -112,7 +195,7 @@ def _per_node_nested(inner_f, outer_lower, inner_lower, config,
     def outer_integrand(xs):
         out = np.empty(len(xs))
         for i, x in enumerate(xs):
-            res = integrate_semi_infinite(
+            res = _heap_semi_infinite(
                 lambda y: inner_f(x, y), inner_lower(x), inner_cfg,
                 tail_scale=inner_tail_scale(x))
             stats["evals"] += res.evaluations
@@ -122,8 +205,8 @@ def _per_node_nested(inner_f, outer_lower, inner_lower, config,
             out[i] = res.value
         return out
 
-    outer = integrate_semi_infinite(outer_integrand, outer_lower, outer_cfg,
-                                    tail_scale=outer_tail_scale)
+    outer = _heap_semi_infinite(outer_integrand, outer_lower, outer_cfg,
+                                tail_scale=outer_tail_scale)
     extent = 10.0 * (outer_tail_scale if outer_tail_scale else 1.0)
     inner_bound = min(
         stats["max_err"] * extent,
@@ -156,8 +239,8 @@ def test_lockstep_inner_integrals_match_per_node_loop(f, config):
     value, error, evals, converged = _semi_infinite_rows(
         f, xs, xs, np.ones_like(xs), config)
     for i, x in enumerate(xs):
-        ref = integrate_semi_infinite(lambda y: f(x, y), x, config,
-                                      tail_scale=1.0)
+        ref = _heap_semi_infinite(lambda y: f(x, y), x, config,
+                                  tail_scale=1.0)
         assert evals[i] == ref.evaluations
         assert converged[i] == ref.converged
         assert value[i] == pytest.approx(ref.value, rel=1e-14, abs=0.0)
@@ -213,6 +296,106 @@ def test_batched_panel_rule_matches_panel():
         ref_value, ref_error, _ = _panel(f, lo[i, j], hi[i, j])
         assert value[i, j] == pytest.approx(ref_value, rel=1e-15, abs=0.0)
         assert error[i, j] == pytest.approx(ref_error, rel=1e-15, abs=0.0)
+
+
+def _recorded(f):
+    """f plus the list of the abscissa arrays it was called with."""
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x))
+        return f(x)
+    return g, calls
+
+
+def _assert_matches_heap(f, a, b, config, **kwargs):
+    """integrate_finite equals _heap_finite bit for bit, and both sample
+    the same abscissae in the same order (so they split the same panels)."""
+    g, calls = _recorded(f)
+    res = integrate_finite(g, a, b, config, **kwargs)
+    g_ref, calls_ref = _recorded(f)
+    ref = _heap_finite(g_ref, a, b, config, **kwargs)
+    assert np.asarray(res.value).tobytes() == np.asarray(ref.value).tobytes()
+    assert res.evaluations == ref.evaluations
+    assert res.converged == ref.converged
+    assert res.error_estimate == pytest.approx(ref.error_estimate,
+                                               rel=1e-14, abs=0.0)
+    assert np.array_equal(np.concatenate(calls), np.concatenate(calls_ref))
+    return res, calls
+
+
+def test_finite_matches_heap_with_breakpoints():
+    b = 1e-6
+    f = lambda x: b / ((x - 0.5) ** 2 + b**2) + np.sqrt(np.abs(x - 0.2))
+    res, _ = _assert_matches_heap(f, 0.0, 1.0, CFG, breakpoints=(0.5, 0.2))
+    assert res.converged
+
+
+def test_finite_matches_heap_on_many_oscillatory_panels():
+    a = 900.0
+    f = lambda u: 1j * np.exp(1j * a * u) * (1.0 - u**2) / (1.0 + u)
+    res, calls = _assert_matches_heap(f, 0.0, 1.0, CFG,
+                                      max_panel_width=math.pi / a)
+    assert len(calls[0]) == 15 * math.ceil(a / math.pi)
+    assert isinstance(res.value, complex)
+
+
+def test_finite_matches_heap_on_tied_errors():
+    # the same step in every unit panel, so their errors tie exactly and
+    # only the oldest-first rule decides which is split next
+    f = lambda x: (x - np.floor(x) > 1.0 / 3.0).astype(float)
+    edges = np.arange(4.0)
+    _, err = _panels(f, edges[None, :-1], edges[None, 1:])
+    assert err[0, 0] > 0.0 and np.all(err == err[0, 0])
+    res, _ = _assert_matches_heap(f, 0.0, 3.0, QuadratureConfig(
+        rel_tol=1e-12, abs_tol=0.0, max_subdivisions=10),
+        breakpoints=(1.0, 2.0))
+    assert not res.converged
+
+
+def test_finite_matches_heap_when_budget_runs_out():
+    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=10)
+    res, calls = _assert_matches_heap(lambda x: np.sqrt(np.abs(x)), -1.0,
+                                      1.0, cfg)
+    assert not res.converged
+    assert res.evaluations == 15 + 30 * 10 and len(calls) == 11
+
+
+@given(points=st.lists(st.floats(0.01, 3.99), max_size=5),
+       rel_tol=st.floats(1e-13, 1e-3))
+@settings(max_examples=40, deadline=None)
+def test_finite_matches_heap_over_breakpoints_and_tolerances(points,
+                                                             rel_tol):
+    f = lambda x: np.sqrt(np.abs(x - 1.3)) * np.cos(5.0 * x) + np.exp(-x)
+    _assert_matches_heap(f, 0.0, 4.0, QuadratureConfig(rel_tol=rel_tol),
+                         breakpoints=tuple(points))
+
+
+def test_one_integrand_call_per_step():
+    # all initial panels go in one call, then one call per bisection
+    f, calls = _recorded(lambda x: np.sqrt(np.abs(x - 0.3)))
+    res = integrate_finite(f, 0.0, 1.0, CFG, breakpoints=(0.25, 0.5))
+    subdivisions = (res.evaluations - 3 * 15) // 30
+    assert subdivisions > 0
+    assert len(calls) == 1 + subdivisions
+    assert [len(x) for x in calls] == [45] + [30] * subdivisions
+    # integrate_semi_infinite makes one more call, for the tail bound
+    f, calls = _recorded(lambda x: np.exp(-x) * np.sqrt(np.abs(x - 0.3)))
+    res = integrate_semi_infinite(f, 0.0, replace(CFG, split_points=(0.3,)))
+    assert len(calls) == 1 + (res.evaluations - 1 - 2 * 15) // 30 + 1
+
+
+def test_nested_batches_initial_outer_panels():
+    shapes = []
+
+    def f(x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return np.exp(-y)
+
+    res = integrate_nested(f, 0.0, lambda x: x,
+                           replace(CFG, split_points=(0.5, 1.0, 2.0)))
+    assert res.converged
+    assert shapes[0] == ((4 * 15, 1), (4 * 15, 15))
 
 
 def test_nested_non_finite_inner_integrand_raises():
