@@ -5,12 +5,16 @@ Writes one CSV row per distance with the ground-state components, the
 total, and the force breakdown.  Distances, potentials and forces are in
 the package units (z in 1/k_e, U in hbar*Gamma0, F in hbar*Gamma0*k_e).
 
+The exit status is 4 when any integral behind a row did not converge,
+as for the magcp CLI, and 0 otherwise.
+
 Example:
     python scripts/sweep_potentials.py --surface drude --spin 100 \
         --zmin 0.1 --zmax 100 --points 40 --out sweep.csv
 """
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -19,6 +23,7 @@ import numpy as np
 
 from magcp import Drude, Geometry, PerfectConductor, Plasma, \
     QuadratureConfig, build_particle
+from magcp.cli import EXIT_NOT_CONVERGED, EXIT_OK
 from magcp.mechanics import force_breakdown
 from magcp.potentials import potential_breakdown
 
@@ -31,7 +36,15 @@ def build_surface(args):
     return Plasma(omega_p=args.omega_p)
 
 
+def _open_out(path):
+    """The CSV destination: stdout for '-', else the file at path."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
+
+
 def main(argv=None):
+    """Write the CSV; the exit status is 4 when any row did not converge."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--surface", choices=["pc", "drude", "plasma"],
                     default="pc")
@@ -56,23 +69,26 @@ def main(argv=None):
 
     grid = np.logspace(math.log10(args.zmin), math.log10(args.zmax),
                        args.points)
-    fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    writer = csv.writer(fh)
-    writer.writerow(["z_tilde", "u_e", "u_m_broadband", "u_m_static",
-                     "u_total", "f_e", "f_m_broadband", "f_m_static",
-                     "f_gravity", "f_total"])
-    for zt in grid:
-        geo = Geometry(zt / particle.k_e)
-        pb = potential_breakdown(particle, surface, geo, quad)
-        fb = force_breakdown(particle, surface, geo, quad)
-        writer.writerow([f"{x:.10e}" for x in
-                         (zt, pb.u_e_minus, pb.u_m_minus, pb.u_m_z,
-                          pb.total_ground, fb.f_e, fb.f_m_minus, fb.f_m_z,
-                          fb.f_gravity, fb.f_total)])
-    if fh is not sys.stdout:
-        fh.close()
+    all_ok = True
+    with _open_out(args.out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["z_tilde", "u_e", "u_m_broadband", "u_m_static",
+                         "u_total", "f_e", "f_m_broadband", "f_m_static",
+                         "f_gravity", "f_total"])
+        for zt in grid:
+            geo = Geometry(zt / particle.k_e)
+            pb = potential_breakdown(particle, surface, geo, quad)
+            fb = force_breakdown(particle, surface, geo, quad)
+            all_ok = (all_ok and pb.u_e_converged and pb.u_m_converged
+                      and pb.u_m_z_converged and fb.converged)
+            writer.writerow([f"{x:.10e}" for x in
+                             (zt, pb.u_e_minus, pb.u_m_minus, pb.u_m_z,
+                              pb.total_ground, fb.f_e, fb.f_m_minus, fb.f_m_z,
+                              fb.f_gravity, fb.f_total)])
+    if args.out != "-":
         print(f"wrote {args.points} rows to {args.out}")
+    return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

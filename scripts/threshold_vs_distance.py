@@ -5,12 +5,16 @@ For each distance the script reports the smallest spin at which the
 total ground-state force turns repulsive, with and without the
 zero-frequency magnetic image term.
 
+The exit status is 4 when any integral behind a row did not converge,
+as for the magcp CLI, and 0 otherwise.
+
 Example:
     python scripts/threshold_vs_distance.py --surface pc \
         --zmin 0.001 --zmax 10 --points 20
 """
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -19,6 +23,7 @@ import numpy as np
 
 from magcp import Drude, EnvironmentSpec, Geometry, PerfectConductor, \
     Plasma, QuadratureConfig, build_particle
+from magcp.cli import EXIT_NOT_CONVERGED, EXIT_OK
 from magcp.mechanics import spin_threshold
 
 
@@ -30,7 +35,15 @@ def build_surface(args):
     return Plasma(omega_p=args.omega_p)
 
 
+def _open_out(path):
+    """The CSV destination: stdout for '-', else the file at path."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
+
+
 def main(argv=None):
+    """Write the CSV; the exit status is 4 when any row did not converge."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--surface", choices=["pc", "drude", "plasma"],
                     default="pc")
@@ -54,18 +67,20 @@ def main(argv=None):
 
     grid = np.logspace(math.log10(args.zmin), math.log10(args.zmax),
                        args.points)
-    fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    writer = csv.writer(fh)
-    writer.writerow(["z_tilde", "spin_with_static", "spin_without_static"])
-    for zt in grid:
-        geo = Geometry(zt / particle.k_e)
-        th = spin_threshold(particle, surface, geo, quad, environment=env)
-        writer.writerow([f"{zt:.10e}", f"{th.with_static:.10e}",
-                         f"{th.without_static:.10e}"])
-    if fh is not sys.stdout:
-        fh.close()
+    all_ok = True
+    with _open_out(args.out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["z_tilde", "spin_with_static", "spin_without_static"])
+        for zt in grid:
+            geo = Geometry(zt / particle.k_e)
+            th = spin_threshold(particle, surface, geo, quad, environment=env)
+            all_ok = all_ok and th.converged
+            writer.writerow([f"{zt:.10e}", f"{th.with_static:.10e}",
+                             f"{th.without_static:.10e}"])
+    if args.out != "-":
         print(f"wrote {args.points} rows to {args.out}")
+    return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -39,10 +39,6 @@ class NoEquilibrium(RuntimeError):
     pass
 
 
-class NoPositiveRoot(RuntimeError):
-    pass
-
-
 class RegimeViolation(ValueError):
     pass
 

@@ -77,10 +77,12 @@ def matrix_element_flip(spin: float, m_s: float) -> float:
     return spin * (spin + 1.0) - m_s * (m_s - 1.0)
 
 
-def _finish(res: IntegralResult, prefactor: float, what: str, strict: bool):
+def _finish(value: float, res: IntegralResult, what: str, strict: bool):
+    """(value, res), or QuadratureFailure when strict and res did not
+    converge."""
     if strict and not res.converged:
         raise QuadratureFailure(f"{what} did not converge", res)
-    return prefactor * res.value, res
+    return value, res
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,8 @@ def u_e_ground(particle: ParticleSpec, surface: SurfaceModel,
     With deriv=True returns d/dz_tilde of the shift instead.
     """
     res = _ground_double(particle, surface, geometry, quad, "electric", deriv)
-    return _finish(res, 3.0 / (8.0 * math.pi), "electric ground shift", strict)
+    return _finish(3.0 / (8.0 * math.pi) * res.value, res,
+                   "electric ground shift", strict)
 
 
 def u_m_ground_broadband(particle: ParticleSpec, surface: SurfaceModel,
@@ -155,7 +158,8 @@ def u_m_ground_broadband(particle: ParticleSpec, surface: SurfaceModel,
     """Broadband magnetic ground-state shift; repulsive, linear in S."""
     res = _ground_double(particle, surface, geometry, quad, "magnetic", deriv)
     pref = 3.0 / (8.0 * math.pi) * particle.omega_tilde * particle.eta * particle.spin
-    return _finish(res, pref, "broadband magnetic ground shift", strict)
+    return _finish(pref * res.value, res, "broadband magnetic ground shift",
+                   strict)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +194,8 @@ def u_m_static(particle: ParticleSpec, surface: SurfaceModel,
 
     res = integrate_semi_infinite(integrand, 0.0, quad,
                                   tail_scale=1.0 / (2.0 * zt))
-    return _finish(res, -3.0 / 8.0 * eta_s2, "magnetostatic shift", strict)
+    return _finish(-3.0 / 8.0 * eta_s2 * res.value, res, "magnetostatic shift",
+                   strict)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +244,7 @@ def _pc_closed(zt: float, w: float, prefactor: float,
     """Value (or z-derivative) of prefactor/z^3 times the kernel integral."""
     res = _pc_single(zt, w, quad)
     if not deriv:
-        return _finish(res, prefactor / zt**3, what, strict)
+        return _finish(prefactor / zt**3 * res.value, res, what, strict)
     res_d = _pc_single(zt, w, quad, deriv=True)
     value = prefactor * (-3.0 / zt**4 * res.value + res_d.value / zt**3)
     combined = IntegralResult(
@@ -249,9 +254,7 @@ def _pc_closed(zt: float, w: float, prefactor: float,
         res.evaluations + res_d.evaluations,
         res.converged and res_d.converged,
     )
-    if strict and not combined.converged:
-        raise QuadratureFailure(f"{what} did not converge", combined)
-    return value, combined
+    return _finish(value, combined, what, strict)
 
 
 def u_e_pc_closed(particle: ParticleSpec, geometry: Geometry,
@@ -360,10 +363,8 @@ def u_m_excited0(particle: ParticleSpec, surface: SurfaceModel,
     if deriv:
         # one deriv order carries 2*k_m = 2*omega_tilde in z_tilde units
         pref *= 2.0 * particle.omega_tilde
-    value = pref * res.value.real
-    if strict and not res.converged:
-        raise QuadratureFailure("resonant magnetic shift did not converge", res)
-    return value, res
+    return _finish(pref * res.value.real, res, "resonant magnetic shift",
+                   strict)
 
 
 def u_m0_pc_closed(particle: ParticleSpec, geometry: Geometry) -> float:
@@ -391,10 +392,7 @@ def delta_gamma_m(particle: ParticleSpec, surface: SurfaceModel,
         return 0.0, IntegralResult(0.0, 0.0, 0, True)
     res = _resonant_j(particle, surface, geometry, quad)
     pref = 3.0 / 8.0 * particle.eta * particle.omega_tilde**3 * weight
-    value = pref * res.value.imag
-    if strict and not res.converged:
-        raise QuadratureFailure("spin-flip rate did not converge", res)
-    return value, res
+    return _finish(pref * res.value.imag, res, "spin-flip rate", strict)
 
 
 def delta_gamma_e(particle: ParticleSpec, surface: SurfaceModel,
@@ -409,10 +407,7 @@ def delta_gamma_e(particle: ParticleSpec, surface: SurfaceModel,
     a = 2.0 * geometry.z_tilde(particle)
     res = _real_freq_integral(surface, particle.omega_e, particle.k_e, a,
                               swap_polarizations=True, quad=quad)
-    value = 0.75 * res.value.imag
-    if strict and not res.converged:
-        raise QuadratureFailure("ED rate correction did not converge", res)
-    return value, res
+    return _finish(0.75 * res.value.imag, res, "ED rate correction", strict)
 
 
 # ---------------------------------------------------------------------------

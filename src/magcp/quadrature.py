@@ -1,16 +1,18 @@
 """Adaptive Gauss-Kronrod quadrature for finite, semi-infinite and
 nested integrals.
 
-All integrators share one deterministic adaptive core on panel arrays: a
-G7-K15 rule applied to all initial panels in one integrand call, then to
-the two halves of the worst panel of every unconverged integral in one
-call per bisection step.  The final sum is taken over panels sorted by
-position, so results are bit-stable for identical inputs.  Integrands
-are called with a 1-d numpy array of abscissae, the 15 nodes of each
-panel side by side, and must return an array of the same shape (real or
-complex) whose entries depend only on their own abscissa.  The nested
-integrator runs the inner integrals of all outer nodes of a call in
-lockstep, each taking the panel decisions it would take alone.
+All integrals are rows of one deterministic adaptive core on panel
+arrays, ``_adaptive_rows``: a G7-K15 rule applied to all initial panels
+in one integrand call, then to the two halves of the worst panel of
+every unconverged row in one call per bisection step.  The final sum is
+taken over panels sorted by position, so results are bit-stable for
+identical inputs.  Integrals over [a, inf) share one mapping and one
+tail bound, in ``_semi_infinite_rows``: ``integrate_semi_infinite`` is
+one row, and the inner integrals of a nested call are many rows, each
+taking the panel decisions it would take alone.  Integrands are called
+with a 1-d numpy array of abscissae, the 15 nodes of each panel side by
+side, and must return an array of the same shape (real or complex)
+whose entries depend only on their own abscissa.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ class QuadratureError(Exception):
 
 class NonFiniteIntegrand(QuadratureError):
     """Integrand returned nan/inf; message carries the abscissa."""
-
-
-class MaxSubdivisionsExceeded(QuadratureError):
-    """Raised only on request; the default path returns converged=False."""
 
 
 @dataclass(frozen=True)
@@ -125,25 +123,25 @@ def _panels(g, lo, hi):
     return k15, err
 
 
-def _adaptive_rows(g, edges, n, config: QuadratureConfig):
-    """Adaptive G7-K15 of n integrals over the same initial panels.
+def _adaptive_rows(g, edges, config: QuadratureConfig):
+    """Adaptive G7-K15 of one integral per row of ``edges``.
 
     Row i integrates t -> g(rows, t)[k] where rows[k] == i: ``g`` gets an
     index array of rows and abscissae t of shape (len(rows), m) and
-    returns values of that shape.  The initial panels lie between
-    ``edges``; all of them go to ``g`` in one call.  Then the rows advance
-    in lockstep: each step, every row that has not met its tolerance
-    bisects its worst panel (largest error, oldest first), and the two
-    halves of all such rows go to ``g`` in one call.  A row stops when the
-    sum of its errors meets max(rel_tol*|sum of values|, abs_tol) or after
-    max_subdivisions bisections.  Returns each row's value and error, both
-    summed in position order, and its evaluation count, as arrays.
+    returns values of that shape.  ``edges`` has shape (n, p+1); row i
+    starts from the p panels between edges[i], and all n*p of them go to
+    ``g`` in one call.  Then the rows advance in lockstep: each step,
+    every row that has not met its tolerance bisects its worst panel
+    (largest error, oldest first), and the two halves of all such rows go
+    to ``g`` in one call.  A row stops when the sum of its errors meets
+    max(rel_tol*|sum of values|, abs_tol) or after max_subdivisions
+    bisections.  Returns each row's value and error, both summed in
+    position order, and its evaluation count, as arrays.
     """
     edges = np.asarray(edges, dtype=float)
-    p = len(edges) - 1
+    n, p = edges.shape[0], edges.shape[1] - 1
     rows = np.arange(n)     # the rows still short of their tolerance
-    v, e = _panels(lambda t: g(rows, t), np.broadcast_to(edges[:-1], (n, p)),
-                   np.broadcast_to(edges[1:], (n, p)))
+    v, e = _panels(lambda t: g(rows, t), edges[:, :-1], edges[:, 1:])
     # Panel j of row i is [lo, hi][i, j].  Slots are filled in creation
     # order: a bisection appends both halves and empties its parent's
     # slot (lo = inf, value and error 0), so the first slot of largest
@@ -153,14 +151,14 @@ def _adaptive_rows(g, edges, n, config: QuadratureConfig):
     hi = np.zeros((n, width))
     val = np.zeros((n, width), dtype=v.dtype)
     err = np.zeros((n, width))
-    lo[:, :p], hi[:, :p], val[:, :p], err[:, :p] = edges[:-1], edges[1:], v, e
+    lo[:, :p], hi[:, :p], val[:, :p], err[:, :p] = \
+        edges[:, :-1], edges[:, 1:], v, e
     evals = np.full(n, 15 * p)
     used = p                # slots filled so far, by every row alike
     while used < width:
         live = err[rows, :used]
-        tol = np.maximum(config.rel_tol * np.abs(val[rows, :used].sum(axis=1)),
-                         config.abs_tol)
-        short = ~(live.sum(axis=1) <= tol)
+        short = ~_converged(val[rows, :used].sum(axis=1), live.sum(axis=1),
+                            config)
         rows = rows[short]
         if rows.size == 0:
             break
@@ -188,6 +186,27 @@ def _adaptive_rows(g, edges, n, config: QuadratureConfig):
     return value, error, evals
 
 
+def _converged(value, error, config: QuadratureConfig):
+    """error <= max(rel_tol*|value|, abs_tol), elementwise."""
+    return error <= np.maximum(config.rel_tol * np.abs(value),
+                               config.abs_tol)
+
+
+def _result(value, error, evals, config: QuadratureConfig) -> IntegralResult:
+    """Row 0 of _adaptive_rows' arrays as an IntegralResult; a complex
+    value with imaginary part 0 becomes real."""
+    total, total_err = value[0], float(error[0])
+    converged = bool(_converged(total, total_err, config))
+    if isinstance(total, complex) and total.imag == 0.0:
+        total = total.real
+    return IntegralResult(total, total_err, int(evals[0]), converged)
+
+
+def _one_row(f):
+    """The row integrand of a lone integral of the 1-d elementwise ``f``."""
+    return lambda rows, t: np.asarray(f(t.ravel())).reshape(t.shape)
+
+
 def integrate_finite(f, a: float, b: float, config: QuadratureConfig,
                      breakpoints=(), max_panel_width: float | None = None,
                      ) -> IntegralResult:
@@ -209,85 +228,68 @@ def integrate_finite(f, a: float, b: float, config: QuadratureConfig,
         else:
             edges.append(lo)
     edges.append(b)
-
-    value, error, evals = _adaptive_rows(
-        lambda rows, t: np.asarray(f(t.ravel())).reshape(t.shape),
-        edges, 1, config)
-    total, total_err = value[0], float(error[0])
-    converged = total_err <= max(config.rel_tol * abs(total), config.abs_tol)
-    if isinstance(total, complex) and total.imag == 0.0:
-        total = total.real
-    return IntegralResult(total, total_err, int(evals[0]), converged)
+    return _result(*_adaptive_rows(_one_row(f), [edges], config), config)
 
 
-def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
-                            tail_scale: float | None = None) -> IntegralResult:
-    """Integrate f over [lower_limit, inf).
+def _semi_infinite_rows(f, lower, scale, config: QuadratureConfig):
+    """Integrals of f over [lower[i], inf), one row each, in lockstep.
 
-    Maps x = a + s*t/(1-t) onto t in [0, 1) and truncates the tail at
-    x - a = s*10^tail_decades.  ``tail_scale`` s defaults to max(1, |a|)
-    and should be set to the decay scale of the integrand when known.
+    Row i maps x = a + s*t/(1-t) (a = lower[i], s = scale[i], by default
+    max(1, |a|)) onto t in [0, 1) and cuts the tail at
+    x - a = s*10^tail_decades; ``config.split_points`` in between become
+    initial t-edges, equally many in every row.  ``f`` gets an index array
+    of rows and x of shape (len(rows), m).  Returns each row's value,
+    error estimate (tail bound included) and evaluation count.
     """
-    a = float(lower_limit)
-    s = float(tail_scale) if tail_scale is not None else max(1.0, abs(a))
-    if s <= 0:
-        raise ValueError(f"tail_scale must be positive, got {tail_scale}")
+    a = np.asarray(lower, dtype=float).reshape(-1, 1)
+    s = np.maximum(1.0, np.abs(a)) if scale is None else \
+        np.asarray(scale, dtype=float).reshape(-1, 1)
+    if (s <= 0).any():
+        raise ValueError(f"tail_scale must be positive, got {s[s <= 0][0]}")
+    n = len(a)
     span = 10.0 ** config.tail_decades
     t_max = span / (1.0 + span)
-
-    def g(t):
-        one_m = 1.0 - t
-        x = a + s * t / one_m
-        return np.asarray(f(x)) * (s / one_m**2)
-
-    breakpoints = []
+    edges = np.zeros((n, 2))
     if config.split_points:
-        for p in config.split_points:
-            if p > a:
-                breakpoints.append((p - a) / (s + (p - a)))
-    res = integrate_finite(g, 0.0, t_max, config, breakpoints=breakpoints)
+        d = np.maximum(np.array(config.split_points) - a, 0.0)
+        t = np.sort(d / (s + d))
+        keep = (0.0 < t) & (t < t_max)
+        keep[:, 1:] &= t[:, 1:] != t[:, :-1]
+        counts = keep.sum(axis=1)
+        if (counts != counts[0]).any():
+            raise ValueError("split_points differ in count between rows")
+        edges = np.zeros((n, counts[0] + 2))
+        edges[:, 1:-1] = t[keep].reshape(n, -1)
+    edges[:, -1] = t_max
+
+    # all rows need no gather; a lone row broadcasts faster as floats
+    whole = (float(a[0, 0]), float(s[0, 0])) if n == 1 else (a, s)
+
+    def g(rows, t):
+        a_r, s_r = whole if len(rows) == n else (a[rows], s[rows])
+        one_m = 1.0 - t
+        return np.asarray(f(rows, a_r + s_r * t / one_m)) * (s_r / one_m**2)
+
+    value, error, evals = _adaptive_rows(g, edges, config)
     # Truncation bound for the discarded tail: for decay at least as fast
     # as 1/x^2 the remainder is bounded by |f(x_max)|*x_max; exponentially
     # decaying kernels contribute nothing here.
     x_max = a + s * span
-    f_max = np.asarray(f(np.array([x_max])))
-    tail_bound = float(np.abs(f_max[0])) * x_max
-    err = res.error_estimate + tail_bound
-    value = res.value
-    converged = err <= max(config.rel_tol * abs(value), config.abs_tol)
-    return IntegralResult(value, err, res.evaluations + 1, converged)
+    tail_bound = np.abs(np.asarray(f(np.arange(n), x_max))) * x_max
+    return value, error + tail_bound[:, 0], evals + 1
 
 
-def _semi_infinite_rows(f, x, lower, scale, config: QuadratureConfig):
-    """integrate_semi_infinite of y -> f(x[i], y) from lower[i], for all i.
+def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
+                            tail_scale: float | None = None) -> IntegralResult:
+    """Integrate f over [lower_limit, inf): one row of _semi_infinite_rows.
 
-    The rows run through _adaptive_rows in lockstep, so ``f`` gets x of
-    shape (n, 1) and y of shape (n, m).  Per row, the mapping, the rule,
-    the panel decisions, the budget, the tail bound and the
-    position-ordered sum are those of integrate_semi_infinite, so each
-    row gets its value, error estimate, evaluation count and converged
-    flag.  Returns those four as arrays.
+    ``tail_scale`` s defaults to max(1, |a|) and should be set to the
+    decay scale of the integrand when known; the tail is cut at
+    x - a = s*10^tail_decades.
     """
-    x = x[:, None]
-    a = lower[:, None]
-    s = scale[:, None]
-    if np.any(s <= 0):
-        raise ValueError(f"tail_scale must be positive, got {scale}")
-    span = 10.0 ** config.tail_decades
-    t_max = span / (1.0 + span)
-
-    def g(rows, t):
-        one_m = 1.0 - t
-        return np.asarray(f(x[rows], a[rows] + s[rows] * t / one_m)) \
-            * (s[rows] / one_m**2)
-
-    value, error, evals = _adaptive_rows(g, [0.0, t_max], len(x), config)
-    x_max = a + s * span
-    tail_bound = np.abs(np.asarray(f(x, x_max))) * x_max
-    error = error + tail_bound[:, 0]
-    converged = error <= np.maximum(config.rel_tol * np.abs(value),
-                                    config.abs_tol)
-    return value, error, evals + 1, converged
+    scale = None if tail_scale is None else [tail_scale]
+    return _result(*_semi_infinite_rows(_one_row(f), [lower_limit], scale,
+                                        config), config)
 
 
 def integrate_nested(inner_f, outer_lower: float, inner_lower,
@@ -300,8 +302,8 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     all outer nodes of one outer integrand call run together (the 15
     nodes of every initial outer panel, then the 30 of each outer
     bisection), so it is called with x of shape (n, 1) and y of shape
-    (n, m), and must return shape (n, m); it
-    must also accept a scalar x with a 1-d y.  ``inner_lower`` is a
+    (n, m), and must return shape (n, m); it must also accept a scalar x
+    with a 1-d y.  ``inner_lower`` is a
     constant or a callable of x; ``inner_tail_scale`` likewise, or None.
     A callable gets the 1-d array of outer nodes and returns an array of
     that shape or a scalar.  Each inner integral takes the panel
@@ -309,13 +311,6 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     The error estimate conservatively adds the worst inner error, scaled
     by an effective outer extent, to the outer estimate.
     """
-    if not callable(inner_lower):
-        lower_val = float(inner_lower)
-        inner_lower = lambda x: lower_val
-    if inner_tail_scale is not None and not callable(inner_tail_scale):
-        scale_val = float(inner_tail_scale)
-        inner_tail_scale = lambda x: scale_val
-
     # Budget split: the outer pass targets half the requested tolerance and
     # the inner passes a tenth, so the conservative combined bound still
     # meets the caller's tolerance and the converged flag stays honest.
@@ -325,16 +320,19 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
                         abs_tol=config.abs_tol / 2.0)
     stats = {"evals": 0, "failed_at": None, "max_err": 0.0}
 
+    def per_node(v, xs):
+        """The constant or callable v at every outer node xs."""
+        return np.broadcast_to(np.asarray(v(xs) if callable(v) else v,
+                                          dtype=float), xs.shape)
+
     def outer_integrand(xs):
-        lower = np.broadcast_to(np.asarray(inner_lower(xs), dtype=float),
-                                xs.shape)
-        if inner_tail_scale is None:
-            scale = np.maximum(1.0, np.abs(lower))
-        else:
-            scale = np.broadcast_to(
-                np.asarray(inner_tail_scale(xs), dtype=float), xs.shape)
-        value, error, evals, converged = _semi_infinite_rows(
-            inner_f, xs, lower, scale, inner_cfg)
+        lower = per_node(inner_lower, xs)
+        scale = (None if inner_tail_scale is None
+                 else per_node(inner_tail_scale, xs))
+        value, error, evals = _semi_infinite_rows(
+            lambda rows, y: inner_f(xs[rows, None], y), lower, scale,
+            inner_cfg)
+        converged = _converged(value, error, inner_cfg)
         stats["evals"] += int(evals.sum())
         stats["max_err"] = float(np.fmax.reduce(error,
                                                 initial=stats["max_err"]))
@@ -355,8 +353,7 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     )
     err = outer.error_estimate + inner_bound
     converged = (stats["failed_at"] is None and
-                 err <= max(config.rel_tol * abs(outer.value),
-                            config.abs_tol))
+                 bool(_converged(outer.value, err, config)))
     level = "" if stats["failed_at"] is None else (
         f"inner integral non-converged at outer x = {stats['failed_at']!r}")
     return IntegralResult(outer.value, err, outer.evaluations + stats["evals"],

@@ -4,14 +4,13 @@ import heapq
 import itertools
 import math
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magcp import Drude, Geometry, potentials, quadrature
+from magcp import Drude, Geometry, potentials
 from magcp.quadrature import (
     _NODES,
     _WEIGHTS_G,
@@ -19,6 +18,7 @@ from magcp.quadrature import (
     IntegralResult,
     NonFiniteIntegrand,
     QuadratureConfig,
+    _converged,
     _panels,
     _semi_infinite_rows,
     integrate_finite,
@@ -101,10 +101,26 @@ def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None):
 
 
 def _heap_semi_infinite(f, lower_limit, config, tail_scale=None):
-    """integrate_semi_infinite with _heap_finite as its finite core."""
-    with mock.patch.object(quadrature, "integrate_finite", _heap_finite):
-        return integrate_semi_infinite(f, lower_limit, config,
-                                       tail_scale=tail_scale)
+    """integrate_semi_infinite as it was before it became one row of
+    _semi_infinite_rows: its own mapping, split-point mapping and tail
+    bound around _heap_finite."""
+    a = float(lower_limit)
+    s = float(tail_scale) if tail_scale is not None else max(1.0, abs(a))
+    span = 10.0 ** config.tail_decades
+    t_max = span / (1.0 + span)
+
+    def g(t):
+        one_m = 1.0 - t
+        return np.asarray(f(a + s * t / one_m)) * (s / one_m**2)
+
+    breakpoints = [(p - a) / (s + (p - a))
+                   for p in config.split_points or () if p > a]
+    res = _heap_finite(g, 0.0, t_max, config, breakpoints=breakpoints)
+    x_max = a + s * span
+    tail_bound = float(np.abs(np.asarray(f(np.array([x_max])))[0])) * x_max
+    err = res.error_estimate + tail_bound
+    converged = err <= max(config.rel_tol * abs(res.value), config.abs_tol)
+    return IntegralResult(res.value, err, res.evaluations + 1, converged)
 
 
 def test_finite_polynomial_exact():
@@ -236,8 +252,9 @@ TIGHT = QuadratureConfig(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=12)
 @pytest.mark.parametrize("f, config", [(_smooth, CFG), (_kinked, TIGHT)])
 def test_lockstep_inner_integrals_match_per_node_loop(f, config):
     xs = np.array([0.0, 0.3, 1.0, 1.9, 2.5, 4.0, 7.0])
-    value, error, evals, converged = _semi_infinite_rows(
-        f, xs, xs, np.ones_like(xs), config)
+    value, error, evals = _semi_infinite_rows(
+        lambda rows, y: f(xs[rows, None], y), xs, np.ones_like(xs), config)
+    converged = _converged(value, error, config)
     for i, x in enumerate(xs):
         ref = _heap_semi_infinite(lambda y: f(x, y), x, config,
                                   tail_scale=1.0)
@@ -308,13 +325,13 @@ def _recorded(f):
     return g, calls
 
 
-def _assert_matches_heap(f, a, b, config, **kwargs):
-    """integrate_finite equals _heap_finite bit for bit, and both sample
-    the same abscissae in the same order (so they split the same panels)."""
+def _assert_same_samples(f, run, run_ref):
+    """run(f) equals run_ref(f) bit for bit, and both sample the same
+    abscissae in the same order (so they split the same panels)."""
     g, calls = _recorded(f)
-    res = integrate_finite(g, a, b, config, **kwargs)
+    res = run(g)
     g_ref, calls_ref = _recorded(f)
-    ref = _heap_finite(g_ref, a, b, config, **kwargs)
+    ref = run_ref(g_ref)
     assert np.asarray(res.value).tobytes() == np.asarray(ref.value).tobytes()
     assert res.evaluations == ref.evaluations
     assert res.converged == ref.converged
@@ -322,6 +339,13 @@ def _assert_matches_heap(f, a, b, config, **kwargs):
                                                rel=1e-14, abs=0.0)
     assert np.array_equal(np.concatenate(calls), np.concatenate(calls_ref))
     return res, calls
+
+
+def _assert_matches_heap(f, a, b, config, **kwargs):
+    """integrate_finite against _heap_finite, as _assert_same_samples."""
+    return _assert_same_samples(
+        f, lambda g: integrate_finite(g, a, b, config, **kwargs),
+        lambda g: _heap_finite(g, a, b, config, **kwargs))
 
 
 def test_finite_matches_heap_with_breakpoints():
@@ -369,6 +393,55 @@ def test_finite_matches_heap_over_breakpoints_and_tolerances(points,
     f = lambda x: np.sqrt(np.abs(x - 1.3)) * np.cos(5.0 * x) + np.exp(-x)
     _assert_matches_heap(f, 0.0, 4.0, QuadratureConfig(rel_tol=rel_tol),
                          breakpoints=tuple(points))
+
+
+def _kinked_decay(x):
+    return np.exp(-x) * np.sqrt(np.abs(x - 1.3))
+
+
+def _kinked_power(x):
+    # a power-law tail, so the tail bound is not 0
+    return np.sqrt(np.abs(x - 1.3)) / (1.0 + x**3)
+
+
+@given(f=st.sampled_from([_kinked_decay, _kinked_power]),
+       points=st.lists(st.one_of(st.floats(-5.0, 10.0),
+                                 st.floats(1e6, 1e9)), max_size=5),
+       a=st.floats(-0.9, 3.0), scale=st.one_of(st.none(),
+                                                st.floats(0.1, 10.0)))
+@example(f=_kinked_decay, points=[-4.0, 1.3, 2e8], a=0.0,
+         scale=None)                                # below a, past the cut
+@example(f=_kinked_power, points=[0.5, 1.3, 1.3, 4.0], a=2.0, scale=0.5)
+@settings(max_examples=40, deadline=None)
+def test_semi_infinite_matches_heap_over_split_points(f, points, a, scale):
+    # the tail bound's sample is the last call of both
+    config = replace(CFG, split_points=tuple(points))
+    _assert_same_samples(
+        f, lambda g: integrate_semi_infinite(g, a, config, tail_scale=scale),
+        lambda g: _heap_semi_infinite(g, a, config, tail_scale=scale))
+
+
+def test_semi_infinite_row_with_split_points_matches_lone_call():
+    lower = np.array([0.0, 0.3, 0.8, 1.1])   # all below both split points
+    scale = np.array([1.0, 0.5, 2.0, 1.0])
+    config = replace(CFG, split_points=(1.3, 2.0, -1.0))
+    value, error, evals = _semi_infinite_rows(
+        lambda rows, y: _kinked_decay(y), lower, scale, config)
+    for i in range(len(lower)):
+        ref = integrate_semi_infinite(_kinked_decay, lower[i], config,
+                                      tail_scale=scale[i])
+        assert value[i].tobytes() == np.float64(ref.value).tobytes()
+        assert error[i] == ref.error_estimate
+        assert evals[i] == ref.evaluations
+    assert len(np.unique(evals)) > 1    # the rows take different decisions
+
+
+def test_semi_infinite_rows_refuse_ragged_split_points():
+    # 1.3 lies above the first lower limit only
+    with pytest.raises(ValueError, match="split_points"):
+        _semi_infinite_rows(lambda rows, y: _kinked_decay(y),
+                            np.array([0.0, 2.0]), None,
+                            replace(CFG, split_points=(1.3,)))
 
 
 def test_one_integrand_call_per_step():

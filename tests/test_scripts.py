@@ -8,6 +8,7 @@ import pytest
 
 from magcp import EnvironmentSpec, Geometry, PerfectConductor, \
     QuadratureConfig
+from magcp.cli import EXIT_NOT_CONVERGED, EXIT_OK
 from magcp.mechanics import force_breakdown, spin_threshold
 from magcp.potentials import potential_breakdown
 
@@ -24,15 +25,18 @@ def load_script(name):
     return module
 
 
-def run_script(name, tmp_path, *args):
+def run_script(name, tmp_path, *args, grid=GRID):
+    """The script's exit status and CSV rows."""
     out = tmp_path / f"{name}.csv"
-    load_script(name).main([*GRID, *args, "--out", str(out)])
+    code = load_script(name).main([*grid, *args, "--out", str(out)])
     with open(out, newline="") as fh:
-        return list(csv.DictReader(fh))
+        return code, list(csv.DictReader(fh))
 
 
 def test_threshold_vs_distance(tmp_path):
-    rows = run_script("threshold_vs_distance", tmp_path, "--no-gravity")
+    code, rows = run_script("threshold_vs_distance", tmp_path,
+                            "--no-gravity")
+    assert code == EXIT_OK
     assert [float(r["z_tilde"]) for r in rows] == pytest.approx([0.1, 1.0])
     p = make_particle(spin=1.0)
     quad = QuadratureConfig(rel_tol=1e-6)
@@ -47,7 +51,8 @@ def test_threshold_vs_distance(tmp_path):
 
 
 def test_sweep_potentials(tmp_path):
-    rows = run_script("sweep_potentials", tmp_path)
+    code, rows = run_script("sweep_potentials", tmp_path)
+    assert code == EXIT_OK
     assert len(rows) == 2
     p = make_particle(spin=100.0)
     quad = QuadratureConfig(rel_tol=1e-6)
@@ -64,3 +69,17 @@ def test_sweep_potentials(tmp_path):
                               ("f_gravity", fb.f_gravity),
                               ("f_total", fb.f_total)):
             assert float(row[column]) == pytest.approx(value, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["sweep_potentials",
+                                  "threshold_vs_distance"])
+def test_non_converged_row_exits_4(tmp_path, capsys, name):
+    # the broadband magnetic shift on Drude gold does not converge at
+    # z_tilde 1e-3; the row is still written
+    out = tmp_path / f"{name}.csv"
+    code, rows = run_script(name, tmp_path, "--rel-tol", "1e-6", grid=[
+        "--surface", "drude", "--zmin", "1e-3", "--zmax", "1e-3",
+        "--points", "1"])
+    assert code == EXIT_NOT_CONVERGED
+    assert len(rows) == 1
+    assert capsys.readouterr().out == f"wrote 1 rows to {out}\n"
