@@ -218,11 +218,6 @@ def fresnel_nr_expansion(surface: SurfaceModel, kappa_perp, xi: float,
     return FresnelPair(r_s, r_p)
 
 
-def _resonance_params(surface: Drude) -> tuple[float, float]:
-    q = surface.omega_p / (math.sqrt(2.0) * surface.gamma)
-    return q, surface.omega_p / math.sqrt(2.0)
-
-
 def _check_nr(particle: ParticleSpec, geometry: Geometry) -> float:
     zt = geometry.z_tilde(particle)
     if particle.omega_tilde * zt >= 0.1:
@@ -230,6 +225,38 @@ def _check_nr(particle: ParticleSpec, geometry: Geometry) -> float:
             f"omega_m*z0/c = {particle.omega_tilde * zt:.3g} is not small; "
             "the 1/z surface forms need the non-retarded regime")
     return zt
+
+
+def _surface_resonance(particle: ParticleSpec, surface: Drude,
+                       geometry: Geometry, form: str, imag: bool,
+                       power: int) -> float:
+    """(3 eta S(S+1) wt^2 / 64 z) times the part a surface form keeps.
+
+    form = "epsilon": Im[(e-1)(e+5)/(e+1)] when imag, else
+    -Re[(e-1)(e+5)/(e+1)]/2, with e = eps(omega_m).  form = "q":
+    Q/delta_p**power with Q = omega_p/(sqrt(2) gamma) and delta_p the
+    detuning from omega_p/sqrt(2) in linewidths; needs Q >> |delta_p| >> 1.
+    """
+    if not isinstance(surface, Drude):
+        raise UnsupportedModel("surface resonance forms are Drude-specific")
+    zt = _check_nr(particle, geometry)
+    s_fac = particle.eta * particle.spin * (particle.spin + 1.0) \
+        * particle.omega_tilde**2
+    scale = 3.0 * s_fac / (64.0 * zt)
+    if form == "epsilon":
+        eps = permittivity_real_freq(surface, particle.omega_m)
+        bracket = (eps - 1.0) * (eps + 5.0) / (eps + 1.0)
+        return scale * (bracket.imag if imag else -0.5 * bracket.real)
+    if form == "q":
+        q = surface.omega_p / (math.sqrt(2.0) * surface.gamma)
+        delta_p = (particle.omega_m - surface.omega_p / math.sqrt(2.0)) \
+            / surface.gamma
+        if not (q > 10.0 * abs(delta_p) and abs(delta_p) > 1.0):
+            raise RegimeViolation(
+                f"Q = {q:.3g}, delta_p = {delta_p:.3g} violate "
+                "Q >> |delta_p| >> 1")
+        return scale * q / delta_p**power
+    raise ValueError(f"form must be epsilon or q, got {form!r}")
 
 
 def surface_resonance_potential(particle: ParticleSpec, surface: Drude,
@@ -243,24 +270,8 @@ def surface_resonance_potential(particle: ParticleSpec, surface: Drude,
     gamma) and delta_p the detuning in linewidths; needs Q >> |delta_p|
     >> 1.  The two agree to order 1/|delta_p| in that regime.
     """
-    if not isinstance(surface, Drude):
-        raise UnsupportedModel("surface resonance forms are Drude-specific")
-    zt = _check_nr(particle, geometry)
-    s_fac = particle.eta * particle.spin * (particle.spin + 1.0) \
-        * particle.omega_tilde**2
-    if form == "epsilon":
-        eps = permittivity_real_freq(surface, particle.omega_m)
-        bracket = ((eps - 1.0) * (eps + 5.0) / (eps + 1.0)).real
-        return -3.0 * s_fac / (128.0 * zt) * bracket
-    if form == "q":
-        q, omega_s = _resonance_params(surface)
-        delta_p = (particle.omega_m - omega_s) / surface.gamma
-        if not (q > 10.0 * abs(delta_p) and abs(delta_p) > 1.0):
-            raise RegimeViolation(
-                f"Q = {q:.3g}, delta_p = {delta_p:.3g} violate "
-                "Q >> |delta_p| >> 1")
-        return 3.0 * s_fac / (64.0 * zt) * q / delta_p
-    raise ValueError(f"form must be epsilon or q, got {form!r}")
+    return _surface_resonance(particle, surface, geometry, form,
+                              imag=False, power=1)
 
 
 def surface_resonance_rate(particle: ParticleSpec, surface: Drude,
@@ -270,21 +281,5 @@ def surface_resonance_rate(particle: ParticleSpec, surface: Drude,
     form = "epsilon": (3 eta S(S+1) wt^2 / 64 z) * Im[(e-1)(e+5)/(e+1)];
     form = "q": the on-resonance reduction with Im -> Q/delta_p^2.
     """
-    if not isinstance(surface, Drude):
-        raise UnsupportedModel("surface resonance forms are Drude-specific")
-    zt = _check_nr(particle, geometry)
-    s_fac = particle.eta * particle.spin * (particle.spin + 1.0) \
-        * particle.omega_tilde**2
-    if form == "epsilon":
-        eps = permittivity_real_freq(surface, particle.omega_m)
-        bracket = ((eps - 1.0) * (eps + 5.0) / (eps + 1.0)).imag
-        return 3.0 * s_fac / (64.0 * zt) * bracket
-    if form == "q":
-        q, omega_s = _resonance_params(surface)
-        delta_p = (particle.omega_m - omega_s) / surface.gamma
-        if not (q > 10.0 * abs(delta_p) and abs(delta_p) > 1.0):
-            raise RegimeViolation(
-                f"Q = {q:.3g}, delta_p = {delta_p:.3g} violate "
-                "Q >> |delta_p| >> 1")
-        return 3.0 * s_fac / (64.0 * zt) * q / delta_p**2
-    raise ValueError(f"form must be epsilon or q, got {form!r}")
+    return _surface_resonance(particle, surface, geometry, form,
+                              imag=True, power=2)

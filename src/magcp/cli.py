@@ -1,11 +1,15 @@
 """Command-line interface: config ingestion, sweeps, tabular output.
 
 Subcommands: potential | force | equilibrium | threshold | validate.
-Configuration is a single JSON document; unknown fields are rejected so
-typos fail loudly.  All numeric output is dimensionless with the unit
-convention stated in a header line.  Exit codes: 0 success, 2 config
-error, 3 no result (e.g. no equilibrium in the bracket), 4 quadrature
-non-convergence (partial output is still written).
+potential, force and threshold share one loop over the distance grid,
+_sweep, and differ only in the row they compute for one distance.
+Configuration is a single JSON document; _block reads each of its seven
+blocks and refuses one that is not an object or has unknown fields, so
+typos fail loudly.  A malformed value is a config error too.  All
+numeric output is dimensionless with the unit convention stated in a
+header line.  Exit codes: 0 success, 2 config error, 3 no result (e.g.
+no equilibrium in the bracket), 4 quadrature non-convergence (partial
+output is still written).
 
 The environment variable MAGCP_QUAD_RTOL overrides the built-in default
 relative tolerance; an explicit value in the config wins over both.
@@ -33,61 +37,68 @@ EXIT_CONFIG = 2
 EXIT_NO_RESULT = 3
 EXIT_NOT_CONVERGED = 4
 
+PARTICLE_KEYS = {"omega_e", "omega_m", "dipole_moment", "dipole_moment_au",
+                 "spin", "m_s", "mass_per_spin", "gyro_ratio", "gamma_0",
+                 "gamma_0_in_hz"}
+# surface.model -> (class, the fields passed to it)
+SURFACES = {"perfect_conductor": (PerfectConductor, ()),
+            "drude": (Drude, ("omega_p", "gamma")),
+            "plasma": (Plasma, ("omega_p",))}
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _require_keys(block: dict, allowed: set[str], where: str) -> None:
+def _block(doc: dict, key: str, allowed: set[str]) -> dict:
+    """doc[key] ({} when absent), refused unless it is a JSON object whose
+    fields are all in allowed."""
+    block = doc.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {block!r}")
     unknown = set(block) - allowed
     if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}; "
+        raise ConfigError(f"unknown field(s) {sorted(unknown)} in {key}; "
                           f"allowed: {sorted(allowed)}")
+    return block
 
 
-def _build_particle(block: dict):
-    _require_keys(block, {"omega_e", "omega_m", "dipole_moment",
-                          "dipole_moment_au", "spin", "m_s", "mass_per_spin",
-                          "gyro_ratio", "gamma_0", "gamma_0_in_hz"},
-                  "particle")
-    try:
-        return build_particle(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"particle block invalid: {exc}") from exc
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _build_surface(block: dict):
-    model = block.get("model")
-    if model == "perfect_conductor":
-        _require_keys(block, {"model"}, "surface")
-        return PerfectConductor()
-    if model == "drude":
-        _require_keys(block, {"model", "omega_p", "gamma"}, "surface")
-        try:
-            return Drude(omega_p=block["omega_p"], gamma=block["gamma"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"drude surface invalid: {exc}") from exc
-    if model == "plasma":
-        _require_keys(block, {"model", "omega_p"}, "surface")
-        try:
-            return Plasma(omega_p=block["omega_p"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"plasma surface invalid: {exc}") from exc
-    raise ConfigError(
-        f"surface.model must be perfect_conductor, drude or plasma, "
-        f"got {model!r}")
+def _flag(doc: dict, key: str, default: bool = True) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
-def _build_grid(block: dict, particle) -> list[float]:
-    _require_keys(block, {"z_tilde", "z0_m", "log"}, "grid")
-    if sum(k in block for k in ("z_tilde", "z0_m", "log")) != 1:
+def _build_surface(doc: dict):
+    model = _block(doc, "surface", {"model", "omega_p", "gamma"}).get("model")
+    if model not in SURFACES:
+        raise ConfigError(
+            f"surface.model must be perfect_conductor, drude or plasma, "
+            f"got {model!r}")
+    cls, fields = SURFACES[model]
+    block = _block(doc, "surface", {"model", *fields})
+    return cls(**{f: block[f] for f in fields})
+
+
+def _build_grid(doc: dict, particle) -> list[float]:
+    if "grid" not in doc:
+        return [1.0]
+    block = _block(doc, "grid", {"z_tilde", "z0_m", "log"})
+    if len(block) != 1:
         raise ConfigError("grid needs exactly one of z_tilde, z0_m, log")
-    if "z_tilde" in block:
-        grid = [float(z) for z in block["z_tilde"]]
-    elif "z0_m" in block:
-        grid = [float(z) * particle.k_e for z in block["z0_m"]]
+    (kind, spec), = block.items()
+    if not isinstance(spec, list):
+        raise ConfigError(f"grid.{kind} must be a list, got {spec!r}")
+    if kind == "z_tilde":
+        grid = [float(z) for z in spec]
+    elif kind == "z0_m":
+        grid = [float(z) * particle.k_e for z in spec]
     else:
-        spec = block["log"]
         if len(spec) != 3:
             raise ConfigError("grid.log must be [start, stop, n]")
         start, stop, n = float(spec[0]), float(spec[1]), int(spec[2])
@@ -103,58 +114,61 @@ def _build_grid(block: dict, particle) -> list[float]:
     return grid
 
 
-def _build_quadrature(block: dict) -> QuadratureConfig:
-    _require_keys(block, {"rel_tol", "abs_tol", "max_subdivisions",
-                          "tail_decades"}, "quadrature")
+def _build_quadrature(doc: dict) -> QuadratureConfig:
+    block = _block(doc, "quadrature", {"rel_tol", "abs_tol",
+                                       "max_subdivisions", "tail_decades"})
+    if not all(map(_is_number, block.values())):
+        raise ConfigError(f"quadrature values must be numbers, got {block}")
     defaults = {"rel_tol": float(os.environ.get("MAGCP_QUAD_RTOL", 1e-8))}
-    try:
-        return QuadratureConfig(**{**defaults, **block})
-    except ValueError as exc:
-        raise ConfigError(f"quadrature block invalid: {exc}") from exc
+    return QuadratureConfig(**{**defaults, **block})
 
 
 class JobConfig:
-    """Validated run configuration assembled from the JSON document."""
+    """Validated run configuration assembled from the JSON document.
+
+    A malformed document raises ConfigError, or the KeyError, TypeError or
+    ValueError of the constructor that refused a value."""
 
     TOP_KEYS = {"particle", "surface", "grid", "quadrature", "mode",
                 "include_static", "gravity", "environment", "output",
                 "equilibrium"}
 
     def __init__(self, doc: dict):
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
-        _require_keys(doc, self.TOP_KEYS, "config")
+        # the document itself is checked as the block "config" of a wrapper
+        doc = _block({"config": doc}, "config", self.TOP_KEYS)
         for key in ("particle", "surface"):
             if key not in doc:
                 raise ConfigError(f"config is missing the {key!r} block")
-        self.particle = _build_particle(doc["particle"])
-        self.surface = _build_surface(doc["surface"])
-        self.grid = _build_grid(doc.get("grid", {"z_tilde": [1.0]}),
-                                self.particle)
-        self.quad = _build_quadrature(doc.get("quadrature", {}))
+        particle = _block(doc, "particle", PARTICLE_KEYS)
+        _flag(particle, "gamma_0_in_hz", default=False)
+        self.particle = build_particle(**particle)
+        self.surface = _build_surface(doc)
+        self.grid = _build_grid(doc, self.particle)
+        self.quad = _build_quadrature(doc)
         self.mode = doc.get("mode", "ground")
         if self.mode not in ("ground", "excited0"):
             raise ConfigError(f"mode must be ground or excited0, "
                               f"got {self.mode!r}")
-        self.include_static = bool(doc.get("include_static", True))
-        self.gravity = bool(doc.get("gravity", True))
-        env_block = doc.get("environment", {})
-        _require_keys(env_block, {"g"}, "environment")
-        try:
-            self.environment = EnvironmentSpec(**env_block)
-        except ValueError as exc:
-            raise ConfigError(f"environment block invalid: {exc}") from exc
-        out = doc.get("output", {})
-        _require_keys(out, {"path", "format", "precision"}, "output")
+        self.include_static = _flag(doc, "include_static")
+        self.gravity = _flag(doc, "gravity")
+        self.environment = EnvironmentSpec(**_block(doc, "environment",
+                                                    {"g"}))
+        out = _block(doc, "output", {"path", "format", "precision"})
         self.out_path = out.get("path")
         self.out_format = out.get("format", "csv")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, "
                               f"got {self.out_format!r}")
         self.precision = int(out.get("precision", 12))
-        eq = doc.get("equilibrium", {})
-        _require_keys(eq, {"bracket"}, "equilibrium")
-        self.bracket = tuple(eq.get("bracket", (0.5, 100.0)))
+        if self.precision < 0:
+            raise ConfigError(f"output.precision must be >= 0, "
+                              f"got {self.precision}")
+        bracket = _block(doc, "equilibrium", {"bracket"}).get(
+            "bracket", (0.5, 100.0))
+        if len(bracket) != 2 or not all(map(_is_number, bracket)):
+            raise ConfigError(f"equilibrium.bracket must be two numbers "
+                              f"[low, high], got {bracket!r}")
+        self.bracket = tuple(bracket)
 
     @property
     def effective_env(self) -> EnvironmentSpec:
@@ -162,6 +176,7 @@ class JobConfig:
 
 
 def _fmt(value, precision: int) -> str:
+    """A cell as CSV text."""
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -169,6 +184,15 @@ def _fmt(value, precision: int) -> str:
     if isinstance(value, str):
         return value
     return format(float(value), f".{precision}e")
+
+
+def _json_value(value, precision: int):
+    """A cell as a JSON value: numbers carry the digits of the CSV cell."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if value is None or isinstance(value, str):
+        return value
+    return float(_fmt(value, precision))
 
 
 def _emit(columns: list[str], rows: list[dict], cfg: JobConfig) -> None:
@@ -181,11 +205,7 @@ def _emit(columns: list[str], rows: list[dict], cfg: JobConfig) -> None:
     else:
         payload = {
             "units": UNITS_LINE,
-            "rows": [{c: (bool(row.get(c))
-                          if isinstance(row.get(c), (bool, np.bool_))
-                          else row.get(c)
-                          if isinstance(row.get(c), (str, type(None)))
-                          else float(_fmt(row.get(c), cfg.precision)))
+            "rows": [{c: _json_value(row.get(c), cfg.precision)
                       for c in columns} for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -196,48 +216,49 @@ def _emit(columns: list[str], rows: list[dict], cfg: JobConfig) -> None:
         sys.stdout.write(text)
 
 
-def cmd_potential(cfg: JobConfig) -> int:
-    columns = ["z_tilde", "u_e_minus", "u_m_minus", "u_m_z", "u_m_excited0",
-               "total_ground", "converged"]
+def _sweep(cfg: JobConfig, columns: list[str], point) -> int:
+    """Emit one row per grid distance; point(geometry) returns (row,
+    converged), with row a column -> value map that lacks z_tilde.  Every
+    row is written; the exit code is 4 when any row did not converge."""
     rows = []
     all_ok = True
     for zt in cfg.grid:
-        geo = Geometry(zt / cfg.particle.k_e)
+        row, ok = point(Geometry(zt / cfg.particle.k_e))
+        rows.append({**row, "z_tilde": zt})
+        all_ok = all_ok and ok
+    _emit(columns, rows, cfg)
+    return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
+
+
+def cmd_potential(cfg: JobConfig) -> int:
+    def point(geo):
         bd = potentials.potential_breakdown(
             cfg.particle, cfg.surface, geo, cfg.quad,
             include_excited0=(cfg.mode == "excited0"))
-        ok = (bd.u_e_converged and bd.u_m_converged and bd.u_m_z_converged
-              and bd.u_m_excited0_converged)
-        all_ok = all_ok and ok
-        rows.append({
-            "z_tilde": zt, "u_e_minus": bd.u_e_minus,
-            "u_m_minus": bd.u_m_minus, "u_m_z": bd.u_m_z,
-            "u_m_excited0": bd.u_m_excited0,
-            "total_ground": bd.total_ground, "converged": ok,
-        })
-    _emit(columns, rows, cfg)
-    return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
+        return vars(bd), bd.converged
+    return _sweep(cfg, ["z_tilde", "u_e_minus", "u_m_minus", "u_m_z",
+                        "u_m_excited0", "total_ground", "converged"], point)
 
 
 def cmd_force(cfg: JobConfig) -> int:
-    columns = ["z_tilde", "f_e", "f_m_minus", "f_m_z", "f_m_excited0",
-               "f_gravity", "f_total", "f_total_cp", "converged"]
-    rows = []
-    all_ok = True
-    for zt in cfg.grid:
-        geo = Geometry(zt / cfg.particle.k_e)
+    def point(geo):
         fb = mechanics.force_breakdown(
             cfg.particle, cfg.surface, geo, cfg.quad, mode=cfg.mode,
             include_static=cfg.include_static, environment=cfg.effective_env)
-        all_ok = all_ok and fb.converged
-        rows.append({
-            "z_tilde": zt, "f_e": fb.f_e, "f_m_minus": fb.f_m_minus,
-            "f_m_z": fb.f_m_z, "f_m_excited0": fb.f_m_excited0,
-            "f_gravity": fb.f_gravity, "f_total": fb.f_total,
-            "f_total_cp": fb.f_total_cp, "converged": fb.converged,
-        })
-    _emit(columns, rows, cfg)
-    return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
+        return vars(fb), fb.converged
+    return _sweep(cfg, ["z_tilde", "f_e", "f_m_minus", "f_m_z",
+                        "f_m_excited0", "f_gravity", "f_total", "f_total_cp",
+                        "converged"], point)
+
+
+def cmd_threshold(cfg: JobConfig) -> int:
+    def point(geo):
+        th = mechanics.spin_threshold(cfg.particle, cfg.surface, geo,
+                                      cfg.quad, environment=cfg.effective_env)
+        return {"spin_with_static": th.with_static,
+                "spin_without_static": th.without_static}, th.converged
+    return _sweep(cfg, ["z_tilde", "spin_with_static", "spin_without_static"],
+                  point)
 
 
 def cmd_equilibrium(cfg: JobConfig) -> int:
@@ -249,29 +270,9 @@ def cmd_equilibrium(cfg: JobConfig) -> int:
     except (mechanics.NoEquilibrium, mechanics.BracketError) as exc:
         sys.stderr.write(f"no equilibrium: {exc}\n")
         return EXIT_NO_RESULT
-    columns = ["z_tilde_eq", "stable", "residual_force", "method",
-               "analytic_estimate"]
-    _emit(columns, [{
-        "z_tilde_eq": eq.z_tilde_eq, "stable": eq.stable,
-        "residual_force": eq.residual_force, "method": eq.method,
-        "analytic_estimate": eq.analytic_estimate,
-    }], cfg)
+    _emit(["z_tilde_eq", "stable", "residual_force", "method",
+           "analytic_estimate"], [vars(eq)], cfg)
     return EXIT_OK if eq.converged else EXIT_NOT_CONVERGED
-
-
-def cmd_threshold(cfg: JobConfig) -> int:
-    columns = ["z_tilde", "spin_with_static", "spin_without_static"]
-    rows = []
-    all_ok = True
-    for zt in cfg.grid:
-        geo = Geometry(zt / cfg.particle.k_e)
-        th = mechanics.spin_threshold(cfg.particle, cfg.surface, geo,
-                                      cfg.quad, environment=cfg.effective_env)
-        all_ok = all_ok and th.converged
-        rows.append({"z_tilde": zt, "spin_with_static": th.with_static,
-                     "spin_without_static": th.without_static})
-    _emit(columns, rows, cfg)
-    return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
 def cmd_validate(cfg: JobConfig) -> int:
@@ -317,6 +318,8 @@ def cmd_validate(cfg: JobConfig) -> int:
 
 
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
+    if not isinstance(doc, dict):
+        return doc  # JobConfig refuses it
     if args.grid:
         parts = args.grid.split(":")
         if len(parts) != 4 or parts[0] != "log":
@@ -367,10 +370,13 @@ def main(argv: list[str] | None = None) -> int:
                          f"{exc.msg}\n")
         return EXIT_CONFIG
 
+    # every refused value ends here, whichever constructor refused it
     try:
-        doc = _apply_overrides(doc, args)
-        cfg = JobConfig(doc)
-    except ConfigError as exc:
+        cfg = JobConfig(_apply_overrides(doc, args))
+    except KeyError as exc:
+        sys.stderr.write(f"config error: missing field {exc}\n")
+        return EXIT_CONFIG
+    except (TypeError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

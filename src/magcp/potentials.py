@@ -59,10 +59,7 @@ class PotentialBreakdown:
     u_m_z: float
     total_ground: float
     u_m_excited0: float | None = None
-    u_e_converged: bool = True
-    u_m_converged: bool = True
-    u_m_z_converged: bool = True
-    u_m_excited0_converged: bool = True
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -444,18 +441,15 @@ def potential_breakdown(particle: ParticleSpec, surface: SurfaceModel,
     um, res_m = component("magnetic", *args)
     uz, res_z = component("static", *args)
     u0 = None
-    res0_ok = True
+    ok = res_e.converged and res_m.converged and res_z.converged
     if include_excited0:
         u0, res0 = component("excited0", *args)
-        res0_ok = res0.converged
+        ok = ok and res0.converged
     return PotentialBreakdown(
         u_e_minus=ue, u_m_minus=um, u_m_z=uz,
         total_ground=ue + um + uz,
         u_m_excited0=u0,
-        u_e_converged=res_e.converged,
-        u_m_converged=res_m.converged,
-        u_m_z_converged=res_z.converged,
-        u_m_excited0_converged=res0_ok,
+        converged=ok,
     )
 
 

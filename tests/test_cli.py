@@ -1,11 +1,20 @@
 """Command-line interface: config handling, exit codes, bit stability."""
 
+import csv
 import json
+from pathlib import Path
 
 import pytest
 
+from magcp import EnvironmentSpec, Geometry, mechanics, potentials
 from magcp.cli import EXIT_CONFIG, EXIT_NO_RESULT, EXIT_NOT_CONVERGED, \
     EXIT_OK, JobConfig, UNITS_LINE, main
+
+# Output of potential, force, threshold and equilibrium on FROZEN_DOC, as
+# the CLI wrote it before its sweeps shared one loop; keys "<command>
+# <format>".
+EXPECTED = json.loads(
+    (Path(__file__).parent / "cli_expected.json").read_text())
 
 
 def base_doc(**over):
@@ -158,6 +167,21 @@ def test_threshold_nonconvergence_exit(tmp_path):
     assert len(text.splitlines()) == 2 + 1  # the row is still written
 
 
+@pytest.mark.parametrize("command", ["potential", "threshold"])
+def test_non_converged_row_exits_4(tmp_path, capsys, command):
+    # the broadband magnetic shift on Drude gold does not converge at
+    # z_tilde 1e-3 and rel_tol 1e-6; the row is still written
+    doc = base_doc(surface={"model": "drude", "omega_p": 1.36e16,
+                            "gamma": 1e14},
+                   grid={"z_tilde": [1e-3]}, quadrature={"rel_tol": 1e-6})
+    code, text = run(tmp_path, doc, command)
+    assert code == EXIT_NOT_CONVERGED
+    rows = csv_rows(text)
+    assert len(rows) == 1
+    assert float(rows[0]["z_tilde"]) == 1e-3
+    assert capsys.readouterr().out == ""
+
+
 def test_validate_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc())
     assert main(["validate", "--config", cfg]) == EXIT_OK
@@ -184,3 +208,94 @@ def test_static_and_mode_flags(tmp_path):
     row_o = without.splitlines()[2].split(",")
     assert float(row_w[3]) > 0.0   # magnetostatic column populated
     assert float(row_o[3]) == 0.0
+
+
+def csv_rows(text):
+    return list(csv.DictReader(text.splitlines()[1:]))
+
+
+def test_threshold_rows_match_library(tmp_path):
+    doc = base_doc(grid={"z_tilde": [0.1, 1.0]}, quadrature={"rel_tol": 1e-6})
+    code, text = run(tmp_path, doc, "threshold", "--gravity", "off")
+    assert code == EXIT_OK
+    cfg = JobConfig(doc)
+    rows = csv_rows(text)
+    assert [float(r["z_tilde"]) for r in rows] == [0.1, 1.0]
+    for row in rows:
+        th = mechanics.spin_threshold(
+            cfg.particle, cfg.surface,
+            Geometry(float(row["z_tilde"]) / cfg.particle.k_e), cfg.quad,
+            environment=EnvironmentSpec(g=0.0))
+        assert float(row["spin_with_static"]) == pytest.approx(
+            th.with_static, rel=1e-11)
+        assert float(row["spin_without_static"]) == pytest.approx(
+            th.without_static, rel=1e-11)
+
+
+def test_potential_and_force_rows_match_library(tmp_path):
+    doc = base_doc(grid={"z_tilde": [0.1, 1.0]}, quadrature={"rel_tol": 1e-6})
+    cfg = JobConfig(doc)
+    for command, call in (
+            ("potential", lambda geo: potentials.potential_breakdown(
+                cfg.particle, cfg.surface, geo, cfg.quad)),
+            ("force", lambda geo: mechanics.force_breakdown(
+                cfg.particle, cfg.surface, geo, cfg.quad))):
+        code, text = run(tmp_path, doc, command)
+        assert code == EXIT_OK
+        rows = csv_rows(text)
+        assert len(rows) == 2
+        for row in rows:
+            expected = vars(call(
+                Geometry(float(row["z_tilde"]) / cfg.particle.k_e)))
+            for column, value in row.items():
+                if column in ("z_tilde", "converged") or value == "":
+                    continue
+                assert float(value) == pytest.approx(expected[column],
+                                                     rel=1e-11), column
+
+
+FROZEN_DOC = base_doc(grid={"z_tilde": [0.3, 50.0]},
+                      equilibrium={"bracket": [1.0, 100.0]})
+
+
+@pytest.mark.parametrize("key", sorted(EXPECTED))
+def test_output_bytes_frozen(tmp_path, key):
+    command, fmt = key.split()
+    code, text = run(tmp_path, FROZEN_DOC, command, "--format", fmt)
+    assert code == EXIT_OK
+    assert text == EXPECTED[key]
+
+
+@pytest.mark.parametrize("command,doc,flags,env", [
+    ("equilibrium", base_doc(equilibrium={"bracket": [1, 2, 3]}), [], {}),
+    ("potential", base_doc(output={"precision": -1}), [], {}),
+    ("potential", base_doc(grid={"z_tilde": ["a"]}), [], {}),
+    ("potential", base_doc(grid={"log": "abc"}), [], {}),
+    ("potential", base_doc(), ["--grid", "log:1:10:x"], {}),
+    ("potential", base_doc(surface={"model": "drude", "omega_p": "x",
+                                    "gamma": 1e14}), [], {}),
+    ("potential", base_doc(surface={"model": "drude", "omega_p": 1e16}),
+     [], {}),
+    ("potential", base_doc(quadrature={"rel_tol": "x"}), [], {}),
+    ("potential", base_doc(quadrature={"tail_decades": "x"}), [], {}),
+    ("force", base_doc(environment={"g": "x"}), [], {}),
+    ("potential", base_doc(), [], {"MAGCP_QUAD_RTOL": "abc"}),
+    ("potential", base_doc(surface="drude"), [], {}),
+    ("force", base_doc(gravity="false"), [], {}),
+    ("force", base_doc(include_static="false"), [], {}),
+    ("force", base_doc(particle=dict(base_doc()["particle"],
+                                     gamma_0_in_hz="false")), [], {}),
+    ("potential", [1, 2], ["--format", "json"], {}),
+], ids=["bracket-3", "precision-neg", "z_tilde-str", "log-str", "grid-flag",
+        "omega_p-str", "drude-no-gamma", "rel_tol-str", "tail-str", "g-str",
+        "env-rtol", "surface-str", "gravity-str", "static-str", "hz-str",
+        "doc-list"])
+def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, command,
+                                  doc, flags, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""

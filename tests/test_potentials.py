@@ -207,6 +207,13 @@ def test_strict_mode_raises_on_impossible_tolerance():
         u_e_ground(p, GOLD, geo(p, 1.0), q, strict=True)
 
 
+def test_breakdown_not_converged_on_impossible_tolerance():
+    p = make_particle()
+    q = QuadratureConfig(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=10)
+    assert potential_breakdown(p, PC, geo(p, 1.0), QUAD).converged
+    assert not potential_breakdown(p, GOLD, geo(p, 1.0), q).converged
+
+
 @given(zt=st.floats(0.05, 50.0))
 @settings(max_examples=15, deadline=None)
 def test_pc_electric_monotone_and_negative(zt):
