@@ -223,7 +223,7 @@ def _check_nr(particle: ParticleSpec, geometry: Geometry) -> float:
     if particle.omega_tilde * zt >= 0.1:
         raise RegimeViolation(
             f"omega_m*z0/c = {particle.omega_tilde * zt:.3g} is not small; "
-            "the 1/z surface forms need the non-retarded regime")
+            "the near-field forms need the non-retarded regime")
     return zt
 
 

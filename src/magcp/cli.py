@@ -3,16 +3,14 @@
 Subcommands: potential | force | equilibrium | threshold | validate.
 potential, force and threshold share one loop over the distance grid,
 _sweep, and differ only in the row they compute for one distance.
-Configuration is a single JSON document; _block reads each of its seven
-blocks and refuses one that is not an object or has unknown fields, so
-typos fail loudly.  A malformed value is a config error too.  All
-numeric output is dimensionless with the unit convention stated in a
+Configuration is a single JSON document.  FIELDS types its fields, and
+a block that feeds a library constructor takes them from the
+constructor's annotations; _block refuses an unknown field or a value of
+the wrong JSON type, naming it by its dotted path (surface.omega_p).
+All numeric output is dimensionless with the unit convention stated in a
 header line.  Exit codes: 0 success, 2 config error, 3 no result (e.g.
 no equilibrium in the bracket), 4 quadrature non-convergence (partial
 output is still written).
-
-The environment variable MAGCP_QUAD_RTOL overrides the built-in default
-relative tolerance; an explicit value in the config wins over both.
 """
 
 from __future__ import annotations
@@ -20,8 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,138 +36,144 @@ EXIT_CONFIG = 2
 EXIT_NO_RESULT = 3
 EXIT_NOT_CONVERGED = 4
 
-PARTICLE_KEYS = {"omega_e", "omega_m", "dipole_moment", "dipole_moment_au",
-                 "spin", "m_s", "mass_per_spin", "gyro_ratio", "gamma_0",
-                 "gamma_0_in_hz"}
-# surface.model -> (class, the fields passed to it)
-SURFACES = {"perfect_conductor": (PerfectConductor, ()),
-            "drude": (Drude, ("omega_p", "gamma")),
-            "plasma": (Plasma, ("omega_p",))}
+
+def _fields(obj, *drop: str) -> dict:
+    """name -> type of a function's parameters or a dataclass's fields."""
+    return {name: hint for name, hint in get_type_hints(obj).items()
+            if name not in ("return", *drop)}
+
+
+SURFACES = {"perfect_conductor": PerfectConductor, "drude": Drude,
+            "plasma": Plasma}
+# Each config field and its type; a dict is a block of fields.  surface
+# takes every model's fields until its model is known.
+FIELDS = {
+    "particle": _fields(build_particle),
+    "surface": {"model": Literal[tuple(SURFACES)],
+                **{name: hint for cls in SURFACES.values()
+                   for name, hint in _fields(cls).items()}},
+    "environment": _fields(EnvironmentSpec),
+    # potentials sets split_points per integral
+    "quadrature": _fields(QuadratureConfig, "split_points"),
+    "grid": {"z_tilde": list[float], "z0_m": list[float],
+             "log": tuple[float, float, int]},
+    "output": {"path": str | None, "format": Literal["csv", "json"],
+               "precision": int},
+    "equilibrium": {"bracket": tuple[float, float]},
+    "mode": Literal["ground", "excited0"],
+    "include_static": bool,
+    "gravity": bool,
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _block(doc: dict, key: str, allowed: set[str]) -> dict:
-    """doc[key] ({} when absent), refused unless it is a JSON object whose
-    fields are all in allowed."""
-    block = doc.get(key, {})
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type hint: a float takes any finite
+    number, an int only an integer, and neither takes true or false."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return value in args
+    if origin in (Union, UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0])
+                                               for v in value)
+    if origin is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if hint is float:  # json reads NaN and Infinity as floats
+        return isinstance(value, int) or (isinstance(value, float)
+                                          and math.isfinite(value))
+    return isinstance(value, hint)
+
+
+def _block(block, path: str, fields: dict) -> dict:
+    """block, refused unless it is a JSON object whose fields are all in
+    fields, each holding a value of its type (a dict of fields is a
+    nested block).  path is the block's dotted path, "" for the document."""
     if not isinstance(block, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {block!r}")
-    unknown = set(block) - allowed
+        raise ConfigError(f"{path or 'config'} must be a JSON object, "
+                          f"got {block!r}")
+    unknown = set(block) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)} in {key}; "
-                          f"allowed: {sorted(allowed)}")
+        raise ConfigError(f"unknown field(s) {sorted(unknown)} in "
+                          f"{path or 'config'}; allowed: {sorted(fields)}")
+    for name, value in block.items():
+        field, hint = f"{path}.{name}".lstrip("."), fields[name]
+        if isinstance(hint, dict):
+            _block(value, field, hint)
+        elif not _fits(value, hint):
+            expected = hint.__name__ if get_origin(hint) is None \
+                else str(hint).replace("typing.", "")
+            raise ConfigError(f"{field} must be {expected}, got {value!r}")
     return block
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _build_surface(block: dict):
+    """The model a checked surface block names, built from its fields."""
+    if "model" not in block:
+        raise ConfigError(f"surface.model is missing: one of "
+                          f"{sorted(SURFACES)}")
+    cls = SURFACES[block["model"]]
+    _block(block, "surface", {"model": str, **_fields(cls)})
+    return cls(**{k: v for k, v in block.items() if k != "model"})
 
 
-def _flag(doc: dict, key: str, default: bool = True) -> bool:
-    value = doc.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _build_surface(doc: dict):
-    model = _block(doc, "surface", {"model", "omega_p", "gamma"}).get("model")
-    if model not in SURFACES:
-        raise ConfigError(
-            f"surface.model must be perfect_conductor, drude or plasma, "
-            f"got {model!r}")
-    cls, fields = SURFACES[model]
-    block = _block(doc, "surface", {"model", *fields})
-    return cls(**{f: block[f] for f in fields})
-
-
-def _build_grid(doc: dict, particle) -> list[float]:
-    if "grid" not in doc:
+def _build_grid(block: dict | None, particle) -> list[float]:
+    if block is None:
         return [1.0]
-    block = _block(doc, "grid", {"z_tilde", "z0_m", "log"})
     if len(block) != 1:
-        raise ConfigError("grid needs exactly one of z_tilde, z0_m, log")
+        raise ConfigError(f"grid needs exactly one of "
+                          f"{', '.join(FIELDS['grid'])}")
     (kind, spec), = block.items()
-    if not isinstance(spec, list):
-        raise ConfigError(f"grid.{kind} must be a list, got {spec!r}")
-    if kind == "z_tilde":
-        grid = [float(z) for z in spec]
-    elif kind == "z0_m":
-        grid = [float(z) * particle.k_e for z in spec]
-    else:
-        if len(spec) != 3:
-            raise ConfigError("grid.log must be [start, stop, n]")
-        start, stop, n = float(spec[0]), float(spec[1]), int(spec[2])
-        if n < 1 or start <= 0 or stop < start or (stop == start and n > 1):
-            raise ConfigError(f"bad log grid {spec}")
-        grid = list(np.logspace(math.log10(start), math.log10(stop), n))
-    if not grid:
-        raise ConfigError("grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("grid must be strictly increasing")
-    if any(z <= 0 for z in grid):
-        raise ConfigError("grid values must be positive")
+    points = spec
+    if kind == "log":
+        start, stop, n = spec
+        if min(start, stop, n) <= 0:
+            raise ConfigError(f"grid.log needs start, stop and n > 0, "
+                              f"got {spec}")
+        points = np.logspace(math.log10(start), math.log10(stop), n)
+    grid = [z * particle.k_e if kind == "z0_m" else z for z in points]
+    if not grid or grid[0] <= 0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"grid.{kind} must be positive and strictly "
+                          f"increasing, got {spec}")
     return grid
-
-
-def _build_quadrature(doc: dict) -> QuadratureConfig:
-    block = _block(doc, "quadrature", {"rel_tol", "abs_tol",
-                                       "max_subdivisions", "tail_decades"})
-    if not all(map(_is_number, block.values())):
-        raise ConfigError(f"quadrature values must be numbers, got {block}")
-    defaults = {"rel_tol": float(os.environ.get("MAGCP_QUAD_RTOL", 1e-8))}
-    return QuadratureConfig(**{**defaults, **block})
 
 
 class JobConfig:
     """Validated run configuration assembled from the JSON document.
 
-    A malformed document raises ConfigError, or the KeyError, TypeError or
-    ValueError of the constructor that refused a value."""
-
-    TOP_KEYS = {"particle", "surface", "grid", "quadrature", "mode",
-                "include_static", "gravity", "environment", "output",
-                "equilibrium"}
+    A malformed document raises ConfigError, which names the field, or the
+    TypeError or ValueError of the library constructor that refused a
+    value of the right type."""
 
     def __init__(self, doc: dict):
-        # the document itself is checked as the block "config" of a wrapper
-        doc = _block({"config": doc}, "config", self.TOP_KEYS)
+        doc = _block(doc, "", FIELDS)
         for key in ("particle", "surface"):
             if key not in doc:
                 raise ConfigError(f"config is missing the {key!r} block")
-        particle = _block(doc, "particle", PARTICLE_KEYS)
-        _flag(particle, "gamma_0_in_hz", default=False)
-        self.particle = build_particle(**particle)
-        self.surface = _build_surface(doc)
-        self.grid = _build_grid(doc, self.particle)
-        self.quad = _build_quadrature(doc)
+        self.particle = build_particle(**doc["particle"])
+        self.surface = _build_surface(doc["surface"])
+        self.grid = _build_grid(doc.get("grid"), self.particle)
+        self.quad = QuadratureConfig(**doc.get("quadrature", {}))
         self.mode = doc.get("mode", "ground")
-        if self.mode not in ("ground", "excited0"):
-            raise ConfigError(f"mode must be ground or excited0, "
-                              f"got {self.mode!r}")
-        self.include_static = _flag(doc, "include_static")
-        self.gravity = _flag(doc, "gravity")
-        self.environment = EnvironmentSpec(**_block(doc, "environment",
-                                                    {"g"}))
-        out = _block(doc, "output", {"path", "format", "precision"})
+        self.include_static = doc.get("include_static", True)
+        self.gravity = doc.get("gravity", True)
+        self.environment = EnvironmentSpec(**doc.get("environment", {}))
+        out = doc.get("output", {})
         self.out_path = out.get("path")
         self.out_format = out.get("format", "csv")
-        if self.out_format not in ("csv", "json"):
-            raise ConfigError(f"output.format must be csv or json, "
-                              f"got {self.out_format!r}")
-        self.precision = int(out.get("precision", 12))
+        self.precision = out.get("precision", 12)
         if self.precision < 0:
             raise ConfigError(f"output.precision must be >= 0, "
                               f"got {self.precision}")
-        bracket = _block(doc, "equilibrium", {"bracket"}).get(
-            "bracket", (0.5, 100.0))
-        if len(bracket) != 2 or not all(map(_is_number, bracket)):
-            raise ConfigError(f"equilibrium.bracket must be two numbers "
-                              f"[low, high], got {bracket!r}")
-        self.bracket = tuple(bracket)
+        self.bracket = tuple(doc.get("equilibrium", {}).get(
+            "bracket", (0.5, 100.0)))
 
     @property
     def effective_env(self) -> EnvironmentSpec:
@@ -267,7 +272,10 @@ def cmd_equilibrium(cfg: JobConfig) -> int:
             cfg.particle, cfg.surface, cfg.quad, mode=cfg.mode,
             include_static=cfg.include_static, bracket=cfg.bracket,
             environment=cfg.effective_env)
-    except (mechanics.NoEquilibrium, mechanics.BracketError) as exc:
+    except mechanics.BracketError as exc:
+        sys.stderr.write(f"config error: equilibrium.bracket: {exc}\n")
+        return EXIT_CONFIG
+    except mechanics.NoEquilibrium as exc:
         sys.stderr.write(f"no equilibrium: {exc}\n")
         return EXIT_NO_RESULT
     _emit(["z_tilde_eq", "stable", "residual_force", "method",
@@ -317,26 +325,33 @@ def cmd_validate(cfg: JobConfig) -> int:
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
+COMMANDS = {"potential": cmd_potential, "force": cmd_force,
+            "equilibrium": cmd_equilibrium, "threshold": cmd_threshold,
+            "validate": cmd_validate}
+
+
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
     if not isinstance(doc, dict):
         return doc  # JobConfig refuses it
     if args.grid:
-        parts = args.grid.split(":")
-        if len(parts) != 4 or parts[0] != "log":
-            raise ConfigError(f"--grid must look like log:start:stop:n, "
-                              f"got {args.grid!r}")
-        doc["grid"] = {"log": [float(parts[1]), float(parts[2]),
-                               int(parts[3])]}
+        try:  # the one place that parses numbers: the flag is text
+            kind, start, stop, n = args.grid.split(":")
+            if kind != "log":
+                raise ValueError(kind)
+            doc["grid"] = {"log": [float(start), float(stop), int(n)]}
+        except ValueError:
+            raise ConfigError(f"--grid must look like log:start:stop:n "
+                              f"with an integer n, got {args.grid!r}"
+                              ) from None
     if args.mode:
         doc["mode"] = args.mode
     if args.static:
         doc["include_static"] = args.static == "on"
     if args.gravity:
         doc["gravity"] = args.gravity == "on"
-    if args.output:
-        doc.setdefault("output", {})["path"] = args.output
-    if args.format:
-        doc.setdefault("output", {})["format"] = args.format
+    for field, value in (("path", args.output), ("format", args.format)):
+        if value and isinstance(doc.get("output", {}), dict):
+            doc.setdefault("output", {})[field] = value
     return doc
 
 
@@ -346,15 +361,14 @@ def main(argv: list[str] | None = None) -> int:
         description="Casimir-Polder potentials, forces and spin-repulsion "
                     "thresholds for a magnetic particle above a planar "
                     "surface.")
-    parser.add_argument("command",
-                        choices=["potential", "force", "equilibrium",
-                                 "threshold", "validate"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True,
                         help="path to the JSON job configuration")
     parser.add_argument("--output", help="output file (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"])
+    parser.add_argument("--format",
+                        choices=get_args(FIELDS["output"]["format"]))
     parser.add_argument("--grid", help='override grid, e.g. "log:0.01:100:25"')
-    parser.add_argument("--mode", choices=["ground", "excited0"])
+    parser.add_argument("--mode", choices=get_args(FIELDS["mode"]))
     parser.add_argument("--static", choices=["on", "off"])
     parser.add_argument("--gravity", choices=["on", "off"])
     args = parser.parse_args(argv)
@@ -373,21 +387,11 @@ def main(argv: list[str] | None = None) -> int:
     # every refused value ends here, whichever constructor refused it
     try:
         cfg = JobConfig(_apply_overrides(doc, args))
-    except KeyError as exc:
-        sys.stderr.write(f"config error: missing field {exc}\n")
-        return EXIT_CONFIG
     except (TypeError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 
-    handler = {
-        "potential": cmd_potential,
-        "force": cmd_force,
-        "equilibrium": cmd_equilibrium,
-        "threshold": cmd_threshold,
-        "validate": cmd_validate,
-    }[args.command]
-    return handler(cfg)
+    return COMMANDS[args.command](cfg)
 
 
 if __name__ == "__main__":

@@ -104,13 +104,10 @@ def permittivity_real_freq(model: SurfaceModel, omega: float) -> complex:
     raise TypeError(f"unknown surface model {model!r}")
 
 
-def _fresnel_from_eps(eps, kappa_perp, freq_over_c_sq):
-    """r_s, r_p from epsilon and the vacuum kappa_perp.
-
-    ``freq_over_c_sq`` is xi^2/c^2 on the imaginary axis (kappa_2^2 =
-    kappa_perp^2 + (eps-1)*xi^2/c^2) and -omega^2/c^2 on the real axis.
-    """
-    kappa_2 = np.sqrt(kappa_perp**2 + (eps - 1.0) * freq_over_c_sq)
+def _fresnel_from_eps(eps, kappa_perp, xi_over_c_sq):
+    """r_s, r_p on the imaginary axis from eps(i*xi) and the vacuum
+    kappa_perp, with kappa_2^2 = kappa_perp^2 + (eps-1)*xi^2/c^2."""
+    kappa_2 = np.sqrt(kappa_perp**2 + (eps - 1.0) * xi_over_c_sq)
     r_s = (kappa_perp - kappa_2) / (kappa_perp + kappa_2)
     r_p = (eps * kappa_perp - kappa_2) / (eps * kappa_perp + kappa_2)
     return r_s, r_p

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import scipy.constants as sc
 from scipy.optimize import brentq
 
+from .asymptotics import RegimeViolation, _check_nr
 from .materials import SurfaceModel
 from .params import EnvironmentSpec, Geometry, ParticleSpec, \
     gravity_force_dimensionless
@@ -36,10 +37,6 @@ class BracketError(ValueError):
 
 
 class NoEquilibrium(RuntimeError):
-    pass
-
-
-class RegimeViolation(ValueError):
     pass
 
 
@@ -130,8 +127,7 @@ def force_breakdown(particle: ParticleSpec, surface: SurfaceModel,
     )
 
 
-def _total_force(particle, surface, quad, mode, include_static, environment,
-                 use_cp_total):
+def _total_force(particle, surface, quad, mode, include_static, environment):
     """The total force as a function of z_tilde, and the list it appends
     each evaluation's converged flag to."""
     flags: list[bool] = []
@@ -141,7 +137,7 @@ def _total_force(particle, surface, quad, mode, include_static, environment,
                              quad, mode=mode, include_static=include_static,
                              environment=environment)
         flags.append(fb.converged)
-        return fb.f_total_cp if use_cp_total else fb.f_total
+        return fb.f_total
     return f, flags
 
 
@@ -178,7 +174,7 @@ def find_equilibrium(particle: ParticleSpec, surface: SurfaceModel,
     if not (0 < lo < hi):
         raise BracketError(f"need 0 < lo < hi, got {bracket}")
     f, flags = _total_force(particle, surface, quad, mode, include_static,
-                            environment, use_cp_total=not include_static)
+                            environment)
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0 or f_hi == 0.0:
         root = lo if f_lo == 0.0 else hi
@@ -260,11 +256,7 @@ def approx_total_force_excited(particle: ParticleSpec, geometry: Geometry,
     9 eta S(S+1)/(64 z^4) minus the dimensionless weight M g; valid only
     while the magnetic transition is non-retarded.
     """
-    zt = geometry.z_tilde(particle)
-    if particle.omega_tilde * zt >= 0.1:
-        raise RegimeViolation(
-            f"omega_m*z0/c = {particle.omega_tilde * zt:.3g}: the two-term "
-            "force needs the non-retarded regime")
+    zt = _check_nr(particle, geometry)
     cp = 9.0 * particle.eta * particle.spin * (particle.spin + 1.0) \
         / (64.0 * zt**4)
     return cp + gravity_force_dimensionless(particle, environment)

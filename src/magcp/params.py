@@ -35,7 +35,7 @@ class SublevelOutOfRange(ValueError):
 
 
 class HierarchyViolation(ValueError):
-    """omega_m >= omega_e; callers may catch and proceed deliberately."""
+    """omega_m >= omega_e: the model needs omega_m << omega_e."""
 
 
 class UnknownKind(ValueError):
@@ -77,7 +77,6 @@ class ParticleSpec:
             mass_per_spin=self.mass_per_spin,
             gyro_ratio=self.gyro_ratio,
             gamma_0=self.gamma_0_free,
-            allow_hierarchy_violation=True,
         )
 
 
@@ -128,7 +127,6 @@ def build_particle(
     gyro_ratio: float = GYRO_ELECTRON,
     gamma_0: float | None = None,
     gamma_0_in_hz: bool = False,
-    allow_hierarchy_violation: bool = False,
 ) -> ParticleSpec:
     """Validate raw inputs and populate all derived quantities.
 
@@ -153,11 +151,10 @@ def build_particle(
             raise NonPositiveInput(f"{name} must be positive, got {val}")
     if spin < 0:
         raise NonPositiveInput(f"spin must be >= 0, got {spin}")
-    if omega_m >= omega_e and not allow_hierarchy_violation:
+    if omega_m >= omega_e:
         raise HierarchyViolation(
             f"omega_m = {omega_m} >= omega_e = {omega_e}; the intermediate "
-            "distance regime needs omega_m << omega_e "
-            "(pass allow_hierarchy_violation=True to proceed)"
+            "distance regime needs omega_m << omega_e"
         )
     if m_s is None:
         m_s = -spin

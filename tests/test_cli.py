@@ -189,15 +189,6 @@ def test_validate_subcommand(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_env_var_sets_default_tolerance(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGCP_QUAD_RTOL", "1e-5")
-    cfg = JobConfig(base_doc())
-    assert cfg.quad.rel_tol == 1e-5
-    # an explicit config value wins over the environment
-    cfg = JobConfig(base_doc(quadrature={"rel_tol": 1e-9}))
-    assert cfg.quad.rel_tol == 1e-9
-
-
 def test_static_and_mode_flags(tmp_path):
     doc = base_doc(grid={"z_tilde": [1.0]})
     code, with_static = run(tmp_path, doc, "force", "--static", "on")
@@ -266,36 +257,67 @@ def test_output_bytes_frozen(tmp_path, key):
     assert text == EXPECTED[key]
 
 
-@pytest.mark.parametrize("command,doc,flags,env", [
-    ("equilibrium", base_doc(equilibrium={"bracket": [1, 2, 3]}), [], {}),
-    ("potential", base_doc(output={"precision": -1}), [], {}),
-    ("potential", base_doc(grid={"z_tilde": ["a"]}), [], {}),
-    ("potential", base_doc(grid={"log": "abc"}), [], {}),
-    ("potential", base_doc(), ["--grid", "log:1:10:x"], {}),
+def particle(**over):
+    return dict(base_doc()["particle"], **over)
+
+
+@pytest.mark.parametrize("command,doc,flags,field", [
+    ("equilibrium", base_doc(equilibrium={"bracket": [1, 2, 3]}), [],
+     "equilibrium.bracket"),
+    ("equilibrium", base_doc(equilibrium={"bracket": [100, 1]}), [],
+     "equilibrium.bracket"),
+    ("equilibrium", base_doc(equilibrium={"bracket": [-1, 10]}), [],
+     "equilibrium.bracket"),
+    ("potential", base_doc(output={"precision": -1}), [], "output.precision"),
+    ("potential", base_doc(output={"precision": 2.7}), [],
+     "output.precision"),
+    ("potential", base_doc(output={"precision": "12"}), [],
+     "output.precision"),
+    ("potential", base_doc(grid={"z_tilde": ["a"]}), [], "grid.z_tilde"),
+    ("potential", base_doc(grid={"z_tilde": ["1"]}), [], "grid.z_tilde"),
+    ("potential", base_doc(grid={"z_tilde": [float("nan")]}), [],
+     "grid.z_tilde"),
+    ("potential", base_doc(grid={"log": "abc"}), [], "grid.log"),
+    ("potential", base_doc(grid={"log": [0.1, 10, 2.5]}), [], "grid.log"),
+    ("potential", base_doc(), ["--grid", "log:1:10:x"], "--grid"),
+    ("potential", base_doc(), ["--grid", "log:1:10:2.5"], "--grid"),
     ("potential", base_doc(surface={"model": "drude", "omega_p": "x",
-                                    "gamma": 1e14}), [], {}),
+                                    "gamma": 1e14}), [], "surface.omega_p"),
     ("potential", base_doc(surface={"model": "drude", "omega_p": 1e16}),
-     [], {}),
-    ("potential", base_doc(quadrature={"rel_tol": "x"}), [], {}),
-    ("potential", base_doc(quadrature={"tail_decades": "x"}), [], {}),
-    ("force", base_doc(environment={"g": "x"}), [], {}),
-    ("potential", base_doc(), [], {"MAGCP_QUAD_RTOL": "abc"}),
-    ("potential", base_doc(surface="drude"), [], {}),
-    ("force", base_doc(gravity="false"), [], {}),
-    ("force", base_doc(include_static="false"), [], {}),
-    ("force", base_doc(particle=dict(base_doc()["particle"],
-                                     gamma_0_in_hz="false")), [], {}),
-    ("potential", [1, 2], ["--format", "json"], {}),
-], ids=["bracket-3", "precision-neg", "z_tilde-str", "log-str", "grid-flag",
-        "omega_p-str", "drude-no-gamma", "rel_tol-str", "tail-str", "g-str",
-        "env-rtol", "surface-str", "gravity-str", "static-str", "hz-str",
+     [], "'gamma'"),
+    ("potential", base_doc(quadrature={"rel_tol": "x"}), [],
+     "quadrature.rel_tol"),
+    ("potential", base_doc(quadrature={"tail_decades": "x"}), [],
+     "quadrature.tail_decades"),
+    ("potential", base_doc(quadrature={"max_subdivisions": 200.0}), [],
+     "quadrature.max_subdivisions"),
+    ("force", base_doc(environment={"g": "x"}), [], "environment.g"),
+    ("force", base_doc(environment={"g": float("inf")}), [],
+     "environment.g"),
+    ("potential", base_doc(surface="drude"), [], "surface must be"),
+    ("force", base_doc(gravity="false"), [], "gravity must be"),
+    ("force", base_doc(include_static="false"), [], "include_static must be"),
+    ("force", base_doc(particle=particle(gamma_0_in_hz="false")), [],
+     "particle.gamma_0_in_hz"),
+    ("potential", base_doc(particle=particle(spin="100")), [],
+     "particle.spin"),
+    ("potential", base_doc(particle=particle(spin=True)), [],
+     "particle.spin"),
+    ("potential", [1, 2], ["--format", "json"], "config must be"),
+], ids=["bracket-3", "bracket-reversed", "bracket-negative", "precision-neg",
+        "precision-float", "precision-str", "z_tilde-str", "z_tilde-numstr",
+        "z_tilde-nan", "log-str", "log-float-n", "grid-flag",
+        "grid-flag-float-n", "omega_p-str", "drude-no-gamma", "rel_tol-str",
+        "tail-str", "max_subdivisions-float", "g-str", "g-inf", "surface-str",
+        "gravity-str", "static-str", "hz-str", "spin-str", "spin-bool",
         "doc-list"])
-def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, command,
-                                  doc, flags, env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_malformed_config_exits_2(tmp_path, capsys, command, doc, flags,
+                                  field):
+    # a value of the wrong JSON type is refused, never coerced, and the
+    # message names the field
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
+    assert field in captured.err
     assert captured.out == ""

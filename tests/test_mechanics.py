@@ -5,7 +5,7 @@ import math
 import pytest
 
 from magcp import Drude, Geometry, PerfectConductor, Plasma, \
-    QuadratureConfig
+    QuadratureConfig, asymptotics
 from magcp.mechanics import (
     NoEquilibrium,
     RegimeViolation,
@@ -170,5 +170,8 @@ def test_excited_two_term_force():
     approx = approx_total_force_excited(p, g)
     fb = force_breakdown(p, PC, g, QUAD, mode="excited0")
     assert approx == pytest.approx(fb.f_m_excited0 + fb.f_gravity, rel=1e-3)
-    with pytest.raises(RegimeViolation):
+    # one non-retarded check and one exception class for the two-term
+    # force and the asymptotic near-field forms
+    assert RegimeViolation is asymptotics.RegimeViolation
+    with pytest.raises(asymptotics.RegimeViolation, match="non-retarded"):
         approx_total_force_excited(p, geo(p, 0.5 / p.omega_tilde))
