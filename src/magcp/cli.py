@@ -6,7 +6,8 @@ _sweep, and differ only in the row they compute for one distance.
 Configuration is a single JSON document.  FIELDS types its fields, and
 a block that feeds a library constructor takes them from the
 constructor's annotations; _block refuses an unknown field or a value of
-the wrong JSON type, naming it by its dotted path (surface.omega_p).
+the wrong JSON type, and _build a missing required one, naming it by its
+dotted path (surface.omega_p).
 All numeric output is dimensionless with the unit convention stated in a
 header line.  Exit codes: 0 success, 2 config error, 3 no result (e.g.
 no equilibrium in the bracket), 4 quadrature non-convergence (partial
@@ -16,6 +17,7 @@ output is still written).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -114,6 +116,15 @@ def _block(block, path: str, fields: dict) -> dict:
     return block
 
 
+def _build(build, block: dict, path: str):
+    """build(**block), refused first if block lacks a parameter that
+    build's signature requires, naming it by its dotted path."""
+    for name, param in inspect.signature(build).parameters.items():
+        if param.default is param.empty and name not in block:
+            raise ConfigError(f"{path}.{name} is missing")
+    return build(**block)
+
+
 def _build_surface(block: dict):
     """The model a checked surface block names, built from its fields."""
     if "model" not in block:
@@ -121,7 +132,8 @@ def _build_surface(block: dict):
                           f"{sorted(SURFACES)}")
     cls = SURFACES[block["model"]]
     _block(block, "surface", {"model": str, **_fields(cls)})
-    return cls(**{k: v for k, v in block.items() if k != "model"})
+    return _build(cls, {k: v for k, v in block.items() if k != "model"},
+                  "surface")
 
 
 def _build_grid(block: dict | None, particle) -> list[float]:
@@ -157,7 +169,7 @@ class JobConfig:
         for key in ("particle", "surface"):
             if key not in doc:
                 raise ConfigError(f"config is missing the {key!r} block")
-        self.particle = build_particle(**doc["particle"])
+        self.particle = _build(build_particle, doc["particle"], "particle")
         self.surface = _build_surface(doc["surface"])
         self.grid = _build_grid(doc.get("grid"), self.particle)
         self.quad = QuadratureConfig(**doc.get("quadrature", {}))

@@ -17,6 +17,7 @@ medium kappa_2 takes the principal complex square root (Re >= 0).
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -45,10 +46,12 @@ class Drude:
     gamma: float    # rad/s
 
     def __post_init__(self) -> None:
-        if self.omega_p <= 0:
-            raise ValueError(f"omega_p must be positive, got {self.omega_p}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.omega_p < math.inf:
+            raise ValueError(
+                f"omega_p must be positive and finite, got {self.omega_p}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(
+                f"gamma must be positive and finite, got {self.gamma}")
         if self.gamma > self.omega_p / 10:
             warnings.warn(
                 f"gamma = {self.gamma:.3g} is not small against omega_p = "
@@ -62,8 +65,9 @@ class Plasma:
     omega_p: float  # rad/s
 
     def __post_init__(self) -> None:
-        if self.omega_p <= 0:
-            raise ValueError(f"omega_p must be positive, got {self.omega_p}")
+        if not 0 < self.omega_p < math.inf:
+            raise ValueError(
+                f"omega_p must be positive and finite, got {self.omega_p}")
 
 
 SurfaceModel = PerfectConductor | Drude | Plasma

@@ -87,8 +87,9 @@ class Geometry:
     z0: float  # metres
 
     def __post_init__(self) -> None:
-        if self.z0 <= 0:
-            raise NonPositiveInput(f"z0 must be positive, got {self.z0}")
+        if not 0 < self.z0 < math.inf:
+            raise NonPositiveInput(
+                f"z0 must be positive and finite, got {self.z0}")
 
     def z_tilde(self, particle: ParticleSpec) -> float:
         return particle.k_e * self.z0
@@ -101,8 +102,8 @@ class EnvironmentSpec:
     g: float = 9.81
 
     def __post_init__(self) -> None:
-        if self.g < 0:
-            raise NonPositiveInput(f"g must be >= 0, got {self.g}")
+        if not 0 <= self.g < math.inf:
+            raise NonPositiveInput(f"g must be finite and >= 0, got {self.g}")
 
 
 def gamma0_from_dipole(dipole_moment: float, omega_e: float) -> float:
@@ -147,10 +148,11 @@ def build_particle(
         ("mass_per_spin", mass_per_spin),
         ("gyro_ratio", gyro_ratio),
     ]:
-        if val <= 0:
-            raise NonPositiveInput(f"{name} must be positive, got {val}")
-    if spin < 0:
-        raise NonPositiveInput(f"spin must be >= 0, got {spin}")
+        if not 0 < val < math.inf:
+            raise NonPositiveInput(
+                f"{name} must be positive and finite, got {val}")
+    if not 0 <= spin < math.inf:
+        raise NonPositiveInput(f"spin must be finite and >= 0, got {spin}")
     if omega_m >= omega_e:
         raise HierarchyViolation(
             f"omega_m = {omega_m} >= omega_e = {omega_e}; the intermediate "
@@ -158,13 +160,14 @@ def build_particle(
         )
     if m_s is None:
         m_s = -spin
-    if abs(m_s) > spin + 1e-12:
+    if not abs(m_s) <= spin + 1e-12:
         raise SublevelOutOfRange(f"|m_s| = {abs(m_s)} exceeds spin = {spin}")
 
     derived_gamma0 = gamma0_from_dipole(dipole_moment, omega_e)
     if gamma_0 is not None:
-        if gamma_0 <= 0:
-            raise NonPositiveInput(f"gamma_0 must be positive, got {gamma_0}")
+        if not 0 < gamma_0 < math.inf:
+            raise NonPositiveInput(
+                f"gamma_0 must be positive and finite, got {gamma_0}")
         if gamma_0_in_hz:
             gamma_0 = 2 * math.pi * gamma_0
         if abs(gamma_0 - derived_gamma0) / derived_gamma0 > 0.05:

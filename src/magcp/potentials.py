@@ -3,8 +3,13 @@
 Ground-state shifts come from imaginary-frequency double integrals over
 (xi, kappa_perp); the excited m_S = 0 sublevel additionally carries a
 resonant real-frequency contribution evaluated as a split propagating/
-evanescent integral.  Everything is dimensionless: potentials in units of
-hbar*Gamma0, distances in 1/k_e.
+evanescent integral, as do the decay-rate corrections.  Where Re(eps)
+< -1 the evanescent integrand has the surface-plasmon pole of r_p, real
+for the lossless plasma; it is subtracted and its integral added back in
+closed form (_real_freq_integral), so the plasma rates carry the
+plasmon emission channel as the gamma -> 0 limit of Drude.  Everything
+is dimensionless: potentials in units of hbar*Gamma0, distances in
+1/k_e.
 
 The ground state is the stretched sublevel m_S = -S.  Its magnetic shift
 splits into a broadband part linear in S, and a magnetostatic image part
@@ -18,11 +23,13 @@ magnetic ground-state parts are repulsive for the perfect conductor.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.constants as sc
+from scipy.special import exp1, expi
 
 from .materials import (
     Drude,
@@ -276,19 +283,68 @@ def u_m_pc_closed(particle: ParticleSpec, geometry: Geometry,
 # ---------------------------------------------------------------------------
 # real-frequency split integral (resonant shift and decay rates)
 
-def _surface_pole_position(surface: SurfaceModel, omega: float) -> float | None:
-    """Evanescent kappa/k of the surface-plasmon pole, if one exists.
+def _exp_e1(z: complex) -> complex:
+    """e^z E1(z), with E1 taken on the lower side of its cut.
 
-    The p-polarized denominator eps*kappa + kappa_2 vanishes at
-    kappa/k = 1/sqrt(-(eps+1)) when Re(eps) < -1; the quadrature needs a
-    breakpoint there because the peak width scales with Im(eps).
+    On the negative real axis this is the limit from Im z < 0,
+    E1(-x - i0) = -Ei(x) + i*pi; elsewhere E1 is the principal branch,
+    which is continuous with that limit.  The
+    product of exp(z) and E1(z) would be 0*inf once -Re z passes about
+    709, so for |z| > 40 the asymptotic series sum_k (-1)^k k!/z^(k+1) is
+    summed to its smallest term, below 1e-17 of the sum there; the
+    omitted Stokes term i*pi*e^z is below e^-40.  For Re z > 0 and
+    |z| > 1, where scipy's complex E1 is off by up to 1e-12, the
+    continued fraction 1/(z+1- 1/(z+3- 4/(z+5- ...))) is used instead.
+    """
+    z = complex(z)
+    if abs(z) > 40.0:
+        term, total = 1.0 / z, 0.0
+        for k in range(1, int(abs(z)) + 1):
+            total += term
+            term *= -k / z
+            if abs(term) < 1e-17 * abs(total):
+                break
+        return total
+    if z.real > 0.0 and abs(z) > 1.0:
+        # modified Lentz; under 200 terms on this domain
+        b = z + 1.0
+        c, d = 1e300, 1.0 / b
+        total = d
+        for k in range(1, 500):
+            b += 2.0
+            d = 1.0 / (b - k * k * d)
+            c = b - k * k / c
+            total *= c * d
+            if abs(c * d - 1.0) < 1e-16:
+                break
+        return total
+    if z.imag == 0.0 and z.real < 0.0:
+        return math.exp(z.real) * complex(-expi(-z.real), math.pi)
+    return cmath.exp(z) * complex(exp1(z))
+
+
+def _surface_pole(surface: SurfaceModel, omega: float,
+                  swap_polarizations: bool,
+                  deriv: int) -> tuple[complex, complex] | None:
+    """(v0, C) of the surface-plasmon pole term C/(v - v0) of the
+    evanescent bracket, or None when Re(eps) >= -1 (no pole near the
+    real axis) or the surface is a perfect conductor.
+
+    r_p has its pole at v0 = 1/sqrt(-(eps+1)), where eps*v + kappa_2
+    vanishes, with residue R = 2 eps^2 v0/(eps^2 - 1).  C = R v0^2 when
+    r_p carries the v^2 weight (electric swap), C = R otherwise, and the
+    z-derivative factor (-v)^deriv contributes (-v0)^deriv.
     """
     if isinstance(surface, PerfectConductor):
         return None
-    eps = permittivity_real_freq(surface, omega)
-    if eps.real < -1.0:
-        return float((1.0 / np.sqrt(-(eps + 1.0))).real)
-    return None
+    eps = complex(permittivity_real_freq(surface, omega))
+    if eps.real >= -1.0:
+        return None
+    v0 = 1.0 / cmath.sqrt(-(eps + 1.0))
+    c = 2.0 * eps**2 * v0 / (eps**2 - 1.0)
+    if swap_polarizations:
+        c *= v0**2
+    return v0, c * (-v0) ** deriv
 
 
 def _real_freq_integral(surface: SurfaceModel, omega: float, k_omega: float,
@@ -304,6 +360,18 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, k_omega: float,
     exp(i*a*u); the evanescent sector is parametrized by v = K directly.
     ``deriv`` multiplies the integrand by (-K)^deriv, the z-derivative of
     the exponential in units of 2*k_omega per order.
+
+    When Re(eps) < -1, r_p has the surface-plasmon pole v0 (see
+    _surface_pole): complex just above the real axis for Drude, real for
+    the lossless plasma.  The evanescent integral is then done by
+    singularity subtraction: the quadrature sees the bracket less
+    C e^(-a v)/(v - v0), which is smooth at v0, with Re v0 as its one
+    split point, and the pole term's integral is added back in closed
+    form, int_0^inf C e^(-a v)/(v - v0) dv = C e^(-a v0) E1(-a v0).  E1
+    is taken on the lower side of its cut, so the plasma value is the
+    gamma -> 0 limit of the Drude one; its imaginary part
+    pi C e^(-a v0) is the surface-plasmon emission channel.  The scaled
+    _exp_e1 keeps the add-back finite where e^(-a v0) underflows.
     """
     def propagating(u: np.ndarray) -> np.ndarray:
         pair = fresnel_real_freq_from_kappa(surface, -1j * u * k_omega, omega)
@@ -313,23 +381,32 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, k_omega: float,
             out *= (1j * u) ** deriv
         return out
 
+    pole = _surface_pole(surface, omega, swap_polarizations, deriv)
+
     def evanescent(v: np.ndarray) -> np.ndarray:
         pair = fresnel_real_freq_from_kappa(surface, v * k_omega, omega)
         r_a, r_b = (pair.r_s, pair.r_p) if swap_polarizations else (pair.r_p, pair.r_s)
-        out = np.exp(-a * v) * (r_a + r_b * v**2)
+        decay = np.exp(-a * v)
+        out = decay * (r_a + r_b * v**2)
         if deriv:
             out *= (-v) ** deriv
+        if pole is not None:
+            # a node that rounds onto a real v0, reached only when the
+            # tolerance is below the rounding noise of r_p there, takes
+            # no pole term instead of a division by zero
+            gap = v - pole[0]
+            out = out - decay * pole[1] / np.where(gap == 0, np.inf, gap)
         return np.asarray(out, dtype=complex)
 
     cap = math.pi / a if a > 0 else None
     prop = integrate_finite(propagating, 0.0, 1.0, quad, max_panel_width=cap)
-    pole = _surface_pole_position(surface, omega)
-    evan_cfg = quad
+    evan_cfg, add_back = quad, 0.0
     if pole is not None:
-        evan_cfg = replace(quad, split_points=(0.99 * pole, pole, 1.01 * pole))
+        evan_cfg = replace(quad, split_points=(pole[0].real,))
+        add_back = pole[1] * _exp_e1(-a * pole[0])
     evan = integrate_semi_infinite(evanescent, 0.0, evan_cfg,
                                    tail_scale=1.0 / a)
-    return prop + evan
+    return prop + evan + IntegralResult(add_back, 0.0, 0, True)
 
 
 def _resonant_j(particle: ParticleSpec, surface: SurfaceModel,

@@ -17,6 +17,7 @@ whose entries depend only on their own abscissa.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,10 +66,12 @@ class QuadratureConfig:
     split_points: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.abs_tol < 0:
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(
+                f"rel_tol must be positive and finite, got {self.rel_tol}")
+        if not 0 <= self.abs_tol < math.inf:
+            raise ValueError(
+                f"abs_tol must be finite and >= 0, got {self.abs_tol}")
         if self.max_subdivisions < 10:
             raise ValueError(
                 f"max_subdivisions must be >= 10, got {self.max_subdivisions}"

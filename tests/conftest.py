@@ -19,6 +19,13 @@ def make_particle(spin=100.0, m_s=None, omega_m=OMEGA_M, gamma_0=1.8e7):
                           m_s=m_s, dipole_moment_au=0.5, gamma_0=gamma_0)
 
 
+def resonant_drude(p, q_factor=1e4, delta_p=-1e2):
+    """Drude surface with its plasmon resonance near p's omega_m; the
+    defaults give Re eps(omega_m) = -1.04."""
+    gamma = p.omega_m / (q_factor + delta_p)
+    return Drude(omega_p=math.sqrt(2.0) * q_factor * gamma, gamma=gamma)
+
+
 @pytest.fixture(scope="session")
 def particle():
     return make_particle()

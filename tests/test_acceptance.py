@@ -42,7 +42,8 @@ from magcp.potentials import (
     u_m_static,
 )
 
-from conftest import GOLD_GAMMA, GOLD_OMEGA_P, make_particle
+from conftest import GOLD_GAMMA, GOLD_OMEGA_P, make_particle, \
+    resonant_drude
 
 PC = PerfectConductor()
 GOLD = Drude(omega_p=GOLD_OMEGA_P, gamma=GOLD_GAMMA)
@@ -206,11 +207,6 @@ def test_criterion_6_excited_state_closed_form():
            checks)
 
 
-def _resonant_drude(p, q_factor, delta_p):
-    gamma = p.omega_m / (q_factor + delta_p)
-    return Drude(omega_p=math.sqrt(2.0) * q_factor * gamma, gamma=gamma)
-
-
 def test_criterion_7_surface_resonance():
     """Resonant shift and flip rate of |S, 0> near a plasmon resonance.
 
@@ -233,7 +229,7 @@ def test_criterion_7_surface_resonance():
 
     p = make_particle(spin=5.0, m_s=0.0)
     q_factor, delta_p = 1e4, -1e2
-    surface = _resonant_drude(p, q_factor, delta_p)
+    surface = resonant_drude(p, q_factor, delta_p)
     zt = 1.0
     g = geo(p, zt)
     s_fac = 3.0 * p.eta * p.spin * (p.spin + 1.0) * p.omega_tilde**2 \

@@ -284,7 +284,10 @@ def particle(**over):
     ("potential", base_doc(surface={"model": "drude", "omega_p": "x",
                                     "gamma": 1e14}), [], "surface.omega_p"),
     ("potential", base_doc(surface={"model": "drude", "omega_p": 1e16}),
-     [], "'gamma'"),
+     [], "surface.gamma is missing"),
+    ("potential", base_doc(particle={k: v for k, v in particle().items()
+                                     if k != "omega_e"}),
+     [], "particle.omega_e is missing"),
     ("potential", base_doc(quadrature={"rel_tol": "x"}), [],
      "quadrature.rel_tol"),
     ("potential", base_doc(quadrature={"tail_decades": "x"}), [],
@@ -307,7 +310,8 @@ def particle(**over):
 ], ids=["bracket-3", "bracket-reversed", "bracket-negative", "precision-neg",
         "precision-float", "precision-str", "z_tilde-str", "z_tilde-numstr",
         "z_tilde-nan", "log-str", "log-float-n", "grid-flag",
-        "grid-flag-float-n", "omega_p-str", "drude-no-gamma", "rel_tol-str",
+        "grid-flag-float-n", "omega_p-str", "drude-no-gamma",
+        "particle-no-omega_e", "rel_tol-str",
         "tail-str", "max_subdivisions-float", "g-str", "g-inf", "surface-str",
         "gravity-str", "static-str", "hz-str", "spin-str", "spin-bool",
         "doc-list"])

@@ -7,8 +7,8 @@ import scipy.constants as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magcp import build_particle, from_dimensionless, \
-    gravity_force_dimensionless, to_dimensionless
+from magcp import Drude, Plasma, QuadratureConfig, build_particle, \
+    from_dimensionless, gravity_force_dimensionless, to_dimensionless
 from magcp.params import EnvironmentSpec, Geometry, HierarchyViolation, \
     NonPositiveInput, SublevelOutOfRange, UnknownKind, eta_from_dipole, \
     gamma0_from_dipole
@@ -80,6 +80,40 @@ def test_nonpositive_inputs_rejected():
                        dipole_moment_au=0.5)
     with pytest.raises(NonPositiveInput):
         make_particle(spin=-1.0)
+
+
+def _particle(**over):
+    return build_particle(**{"omega_e": OMEGA_E, "omega_m": OMEGA_M,
+                             "spin": 1.0, "dipole_moment_au": 0.5, **over})
+
+
+NON_FINITE_FIELDS = {
+    "Geometry.z0": (lambda x: Geometry(x), NonPositiveInput),
+    "EnvironmentSpec.g": (lambda x: EnvironmentSpec(g=x), NonPositiveInput),
+    **{f"build_particle.{name}": (lambda x, name=name: _particle(**{name: x}),
+                                  NonPositiveInput)
+       for name in ("omega_e", "omega_m", "dipole_moment_au",
+                    "mass_per_spin", "gyro_ratio", "spin", "gamma_0")},
+    "build_particle.m_s": (lambda x: _particle(m_s=x), SublevelOutOfRange),
+    "QuadratureConfig.rel_tol": (lambda x: QuadratureConfig(rel_tol=x),
+                                 ValueError),
+    "QuadratureConfig.abs_tol": (lambda x: QuadratureConfig(abs_tol=x),
+                                 ValueError),
+    "Drude.omega_p": (lambda x: Drude(omega_p=x, gamma=1e14), ValueError),
+    "Drude.gamma": (lambda x: Drude(omega_p=1.36e16, gamma=x), ValueError),
+    "Plasma.omega_p": (lambda x: Plasma(omega_p=x), ValueError),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_non_finite_inputs_rejected(field, value):
+    # every comparison with NaN is false and infinity is positive, so a
+    # bare x <= 0 check lets both through
+    build, error = NON_FINITE_FIELDS[field]
+    with pytest.raises(error):
+        build(value)
 
 
 def test_mass_scales_with_spin():

@@ -6,8 +6,11 @@ split at the low-frequency resonance), so they share no code with the
 package quadrature engine.
 """
 
+import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,9 @@ from magcp import Drude, Geometry, PerfectConductor, Plasma, \
     QuadratureConfig
 from magcp.potentials import (
     QuadratureFailure,
+    _exp_e1,
+    _real_freq_integral,
+    _surface_pole,
     decay_breakdown,
     delta_gamma_e,
     delta_gamma_m,
@@ -30,7 +36,7 @@ from magcp.potentials import (
     u_m_static,
 )
 
-from conftest import make_particle
+from conftest import make_particle, resonant_drude
 
 # independent scipy.quad oracle, Drude gold, z_tilde = 1, S = 100
 ORACLE_UE_DRUDE_Z1 = -2.198571843666e-02
@@ -222,3 +228,125 @@ def test_pc_electric_monotone_and_negative(zt):
     v2, _ = u_e_pc_closed(p, geo(p, zt * 1.3), QUAD)
     assert v < 0.0
     assert v < v2  # attraction weakens with distance
+
+
+# ---------------------------------------------------------------------------
+# surface-plasmon pole of the real-frequency integrals
+
+def test_plasma_electric_j_is_the_drude_limit():
+    # the plasma pole sits on the real axis; its subtracted integral with
+    # the lower-side E1 add-back must be the gamma -> 0 limit of Drude,
+    # whose gap to the plasma value closes linearly in gamma
+    p = make_particle()
+    tight = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
+
+    def j(surface, zt):
+        res = _real_freq_integral(surface, p.omega_e, p.k_e, 2.0 * zt,
+                                  swap_polarizations=True, quad=tight)
+        assert res.converged
+        return res.value
+
+    for zt in (0.3, 1.0, 3.0):
+        j_plasma = j(PLASMA, zt)
+        gaps = [abs(j(Drude(omega_p=PLASMA.omega_p, gamma=gamma), zt)
+                    - j_plasma) for gamma in (1e12, 1e11, 1e10)]
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert 7.0 < wide / narrow < 13.0, (zt, gaps)
+        assert gaps[-1] < 2e-6 * abs(j_plasma), (zt, gaps)
+
+
+def _pole_term_quad(c, v0, a):
+    """mpmath's integral of C e^(-a v)/(v - v0) over v in (0, inf)."""
+    return complex(mpmath.quad(lambda v: c * mpmath.exp(-a * v) / (v - v0),
+                               [0, v0.real, mpmath.inf]))
+
+
+@pytest.mark.parametrize("swap", [True, False], ids=["electric", "magnetic"])
+@pytest.mark.parametrize("deriv", [0, 1])
+@pytest.mark.parametrize("a_v0", [0.4, 4.0])
+def test_pole_add_back_matches_mpmath(swap, deriv, a_v0):
+    p = make_particle()
+    omega = p.omega_e if swap else p.omega_m
+    # Drude: v0 complex, just above the real axis; the closed form holds
+    # as it is
+    v0, c = _surface_pole(GOLD, omega, swap, deriv)
+    assert v0.imag > 0.0
+    a = a_v0 / abs(v0)
+    ref = _pole_term_quad(c, mpmath.mpc(v0.real, v0.imag), a)
+    assert c * _exp_e1(-a * v0) == pytest.approx(ref, rel=1e-12)
+    # plasma: v0 real; the add-back is the limit of a pole lifted by
+    # +i*delta, whose gap closes linearly in delta
+    v0, c = _surface_pole(PLASMA, omega, swap, deriv)
+    assert v0.imag == 0.0
+    a = a_v0 / abs(v0)
+    add_back = c * _exp_e1(-a * v0)
+    gaps = [abs(_pole_term_quad(c, mpmath.mpc(v0.real, d * v0.real), a)
+                - add_back) / abs(add_back) for d in (1e-3, 1e-4, 1e-5)]
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert 8.0 < wide / narrow < 12.0, gaps
+    assert gaps[-1] < 1e-4
+
+
+def test_exp_e1_matches_mpmath_below_the_cut():
+    for r in np.logspace(-8, 4, 25):
+        for arg in np.linspace(-math.pi, 0.0, 13):
+            z = cmath.rect(r, arg)
+            if arg == -math.pi:
+                z = complex(-r, 0.0)
+            got = _exp_e1(z)
+            assert cmath.isfinite(got), z
+            with mpmath.workdps(30):
+                zm = mpmath.mpc(z.real, z.imag)
+                ref = complex(mpmath.exp(zm) * mpmath.expint(1, zm))
+            if z.imag == 0.0 and z.real < 0.0:
+                ref = ref.conjugate()   # mpmath takes the upper side
+            assert abs(got - ref) <= 1e-13 * abs(ref), z
+
+
+def test_plasma_decay_converges_across_the_grid():
+    # the evanescent integrals through the real plasmon pole used up
+    # every subdivision between z_tilde 0.02 and 10
+    p = make_particle()
+    q = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-12)
+    for zt in np.logspace(-3.0, 3.0, 49):
+        bd = decay_breakdown(p, PLASMA, geo(p, zt), q, m_s=0)
+        assert bd.converged, zt
+        assert math.isfinite(bd.delta_gamma_e), zt
+        assert math.isfinite(bd.delta_gamma_m), zt
+
+
+def test_unattainable_tolerance_at_the_real_pole_is_flagged():
+    # below the rounding noise of r_p next to a real v0 the adaptive rule
+    # bisects toward v0 until a node rounds onto it; the result must stay
+    # finite and flagged, without a division by zero
+    p = make_particle()
+    q = QuadratureConfig(rel_tol=1e-14, abs_tol=0.0, max_subdivisions=2000)
+    res = _real_freq_integral(PLASMA, p.omega_e, p.k_e, 0.6,
+                              swap_polarizations=True, quad=q)
+    assert cmath.isfinite(res.value)
+    assert not res.converged
+
+
+P_RES = make_particle(spin=5.0, m_s=0.0)
+
+
+@pytest.mark.parametrize("surface", [
+    resonant_drude(P_RES),
+    Plasma(omega_p=1.001 * math.sqrt(2.0) * P_RES.omega_m),
+    Plasma(omega_p=1.001 * math.sqrt(2.0) * P_RES.omega_e),
+    GOLD, PLASMA, PC,
+], ids=["resonant-drude", "resonant-plasma-m", "resonant-plasma-e",
+        "drude", "plasma", "pc"])
+def test_real_frequency_calls_finite(surface):
+    # eps just below -1 puts the pole far out with a large residue; every
+    # real-frequency result is finite or flagged, and no warning is raised
+    q = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-12)
+    for zt in np.logspace(-4.0, 3.0, 8):
+        g = geo(P_RES, zt)
+        for value, _ in (
+                delta_gamma_e(P_RES, surface, g, q, strict=False),
+                delta_gamma_m(P_RES, surface, g, q, strict=False),
+                u_m_excited0(P_RES, surface, g, q, strict=False),
+                u_m_excited0(P_RES, surface, g, q, deriv=True,
+                             strict=False)):
+            assert math.isfinite(value), zt
