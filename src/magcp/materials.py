@@ -179,7 +179,10 @@ def fresnel_real_freq_from_kappa(model: SurfaceModel, kappa_perp,
     (Re >= 0) is correct for lossy media; on the negative real axis
     (transparent medium below the light line in the medium) the
     outgoing-wave branch -i*sqrt(|.|) is taken, matching the gamma -> 0
-    limit of the Drude model from below the real axis.
+    limit of the Drude model from below the real axis.  r_s is taken as
+    (eps - 1)(omega/c)^2/(kappa_perp + kappa_2)^2, equal to
+    (kappa_perp - kappa_2)/(kappa_perp + kappa_2) on either branch of
+    kappa_2 and free of its cancellation at large kappa_perp.
     """
     if isinstance(model, PerfectConductor):
         shape = np.shape(np.asarray(kappa_perp))
@@ -187,13 +190,14 @@ def fresnel_real_freq_from_kappa(model: SurfaceModel, kappa_perp,
         return FresnelPair(-ones, ones)
     eps = permittivity_real_freq(model, omega)
     kappa_perp = np.asarray(kappa_perp, dtype=complex)
-    w = kappa_perp**2 - (eps - 1.0) * (omega / sc.c) ** 2
-    w = np.asarray(w, dtype=complex)
+    contrast = (eps - 1.0) * (omega / sc.c) ** 2
+    w = np.asarray(kappa_perp**2 - contrast, dtype=complex)
     neg_real = (w.imag == 0) & (w.real < 0)
     kappa_2 = np.where(neg_real,
                        -1j * np.sqrt(np.abs(w.real)),
                        np.sqrt(np.where(neg_real, 1.0, w)))
-    r_s = (kappa_perp - kappa_2) / (kappa_perp + kappa_2)
+    # kappa_perp^2 - kappa_2^2 = contrast
+    r_s = contrast / (kappa_perp + kappa_2) ** 2
     den_p = eps * kappa_perp + kappa_2
     # eps = 0 with k_par = 0 makes den_p vanish; the limit of r_p is -1.
     safe = np.where(den_p == 0, 1.0, den_p)

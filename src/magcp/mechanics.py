@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import scipy.constants as sc
-from scipy.optimize import brentq
 
 from .asymptotics import RegimeViolation, _check_nr
 from .materials import SurfaceModel
@@ -183,6 +182,9 @@ def find_equilibrium(particle: ParticleSpec, surface: SurfaceModel,
             f"total force has the same sign ({f_lo:.3g}, {f_hi:.3g}) at "
             f"both bracket ends {bracket}; no root to find")
     else:
+        # imported here: scipy.optimize loads scipy.linalg, sparse and
+        # more, which nothing else in magcp needs
+        from scipy.optimize import brentq
         root = brentq(f, lo, hi, rtol=rel_tol)
     h = 1e-3 * root
     slope = (f(root + h) - f(root - h)) / (2 * h)

@@ -213,6 +213,23 @@ def _f_kernel_prime(x: np.ndarray) -> np.ndarray:
     return (x - x**2) * np.exp(-x)
 
 
+def _ladder(lo: float, hi: float) -> tuple[float, ...]:
+    """Geometric breakpoints lo, 4*lo, 16*lo, ... below 4*hi.
+
+    Bridges two scales lo <= hi of an integrand so that no initial panel
+    spans a narrow feature unsampled when the scales are far apart.  The
+    ratio widens beyond 4 where the ladder would otherwise have more than
+    about 32 points.
+    """
+    ratio = max(4.0, math.exp((math.log(4.0 * hi) - math.log(lo)) / 32))
+    points = []
+    p = lo
+    while p < 4.0 * hi:
+        points.append(p)
+        p *= ratio
+    return tuple(points)
+
+
 def _pc_single(zt: float, w: float, quad: QuadratureConfig,
                deriv: bool = False) -> IntegralResult:
     """integral of w*f(2*xi*z)/(xi^2+w^2) over xi in (0, inf).
@@ -228,19 +245,12 @@ def _pc_single(zt: float, w: float, quad: QuadratureConfig,
             val *= 2.0 * xi
         return val
 
-    # the kernel decays on scale 1/(2z) and the Lorentzian on scale w; a
-    # geometric ladder of breakpoints bridges the two so no initial panel
-    # spans the narrow support unsampled when the scales are far apart
+    # the kernel decays on scale 1/(2z) and the Lorentzian on scale w
     s_lo = min(w, 1.0 / (2.0 * zt))
     s_hi = max(w, 1.0 / (2.0 * zt))
-    splits = []
-    p = s_lo
-    while p < 4.0 * s_hi:
-        splits.append(p)
-        p *= 4.0
-    return integrate_semi_infinite(integrand, 0.0,
-                                   replace(quad, split_points=tuple(splits)),
-                                   tail_scale=s_hi)
+    return integrate_semi_infinite(
+        integrand, 0.0, replace(quad, split_points=_ladder(s_lo, s_hi)),
+        tail_scale=s_hi)
 
 
 def _pc_closed(zt: float, w: float, prefactor: float,
@@ -361,11 +371,20 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, k_omega: float,
     ``deriv`` multiplies the integrand by (-K)^deriv, the z-derivative of
     the exponential in units of 2*k_omega per order.
 
+    Both sectors start from panels at the surface's own scales, in units
+    of k_omega: r_p turns from -1 to +1 at grazing incidence near
+    u_b = sqrt|eps - 1|/|eps|, r_s turns over near v_s = sqrt|eps - 1|,
+    and e^(-a v) decays on 1/a.  A ratio-4 _ladder from u_b to 1 gives
+    the propagating breakpoints (when u_b < 1/4), and one from
+    min(u_b, 1/a) to max(v_s, 1/a) the evanescent split points, so the
+    adaptive rule does not find these scales one bisection at a time.
+    The perfect conductor has no such scales.
+
     When Re(eps) < -1, r_p has the surface-plasmon pole v0 (see
     _surface_pole): complex just above the real axis for Drude, real for
     the lossless plasma.  The evanescent integral is then done by
     singularity subtraction: the quadrature sees the bracket less
-    C e^(-a v)/(v - v0), which is smooth at v0, with Re v0 as its one
+    C e^(-a v)/(v - v0), which is smooth at v0, with Re v0 as one more
     split point, and the pole term's integral is added back in closed
     form, int_0^inf C e^(-a v)/(v - v0) dv = C e^(-a v0) E1(-a v0).  E1
     is taken on the lower side of its cut, so the plasma value is the
@@ -398,14 +417,24 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, k_omega: float,
             out = out - decay * pole[1] / np.where(gap == 0, np.inf, gap)
         return np.asarray(out, dtype=complex)
 
-    cap = math.pi / a if a > 0 else None
-    prop = integrate_finite(propagating, 0.0, 1.0, quad, max_panel_width=cap)
-    evan_cfg, add_back = quad, 0.0
+    breakpoints, splits, add_back = (), (), 0.0
+    if not isinstance(surface, PerfectConductor):
+        eps = complex(permittivity_real_freq(surface, omega))
+        v_s = math.sqrt(abs(eps - 1.0))
+        u_b = v_s / abs(eps)
+        if 0.0 < u_b < 0.25:
+            breakpoints = _ladder(u_b, 1.0)
+        if u_b > 0.0:
+            splits = _ladder(min(u_b, 1.0 / a), max(v_s, 1.0 / a))
     if pole is not None:
-        evan_cfg = replace(quad, split_points=(pole[0].real,))
+        splits += (pole[0].real,)
         add_back = pole[1] * _exp_e1(-a * pole[0])
-    evan = integrate_semi_infinite(evanescent, 0.0, evan_cfg,
-                                   tail_scale=1.0 / a)
+    cap = math.pi / a if a > 0 else None
+    prop = integrate_finite(propagating, 0.0, 1.0, quad,
+                            breakpoints=breakpoints, max_panel_width=cap)
+    evan = integrate_semi_infinite(
+        evanescent, 0.0, replace(quad, split_points=splits),
+        tail_scale=1.0 / a)
     return prop + evan + IntegralResult(add_back, 0.0, 0, True)
 
 

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import magcp
 from magcp import EnvironmentSpec, Geometry, mechanics, potentials
 from magcp.cli import EXIT_CONFIG, EXIT_NO_RESULT, EXIT_NOT_CONVERGED, \
     EXIT_OK, JobConfig, UNITS_LINE, main
@@ -51,6 +55,18 @@ def test_potential_csv_output(tmp_path):
     assert lines[0] == f"# {UNITS_LINE}"
     assert lines[1].startswith("z_tilde,")
     assert len(lines) == 2 + 4
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize loads scipy.linalg, sparse, spatial and fft: 23 MB
+    # and 0.3 s of start-up that only find_equilibrium needs, so it
+    # imports brentq itself
+    src = str(Path(magcp.__file__).resolve().parent.parent)
+    probe = "import sys, magcp, magcp.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_output_bit_stable(tmp_path):

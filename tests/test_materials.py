@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.constants as sc
@@ -205,6 +206,29 @@ def test_surface_plasmon_pole_region():
     on = fresnel_real(GOLD, k_par, w_res)
     off = fresnel_real(GOLD, k_par, 0.5 * w_res)
     assert abs(complex(on.r_p)) > 10.0 * abs(complex(off.r_p))
+
+
+def _r_s_mpmath(model, kappa, w):
+    """(kappa - kappa_2)/(kappa + kappa_2) at 40 digits, principal root."""
+    with mpmath.workdps(40):
+        w_m = mpmath.mpf(w)
+        gamma = model.gamma if isinstance(model, Drude) else 0.0
+        eps = 1 - mpmath.mpf(model.omega_p) ** 2 / (w_m**2 + 1j * gamma * w_m)
+        k = mpmath.mpc(kappa.real, kappa.imag)
+        k2 = mpmath.sqrt(k**2 - (eps - 1) * (w_m / sc.c) ** 2)
+        return complex((k - k2) / (k + k2))
+
+
+@pytest.mark.parametrize("model", [GOLD, PLASMA], ids=["drude", "plasma"])
+@pytest.mark.parametrize("k_over_k0", [1e8, 1e9, 1e3, 1.0, -0.5j])
+def test_real_freq_r_s_free_of_cancellation(model, k_over_k0):
+    # at omega_m = 2 pi 10 GHz the difference kappa - kappa_2 cancelled:
+    # Drude gold was 2.8e-9 off at kappa/k = 1e8 and 4.8e-6 at 1e9
+    w = 2.0 * math.pi * 1e10
+    kappa = complex(k_over_k0) * w / sc.c
+    got = complex(fresnel_real_freq_from_kappa(model, kappa, w).r_s)
+    ref = _r_s_mpmath(model, kappa, w)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 @given(xi=st.floats(1e10, 1e18), kappa_factor=st.floats(1.0, 1e4))

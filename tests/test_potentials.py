@@ -7,6 +7,7 @@ package quadrature engine.
 """
 
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -16,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magcp import Drude, Geometry, PerfectConductor, Plasma, \
-    QuadratureConfig
+    QuadratureConfig, potentials
 from magcp.potentials import (
     QuadratureFailure,
     _exp_e1,
+    _ladder,
     _real_freq_integral,
+    _resonant_j,
     _surface_pole,
     decay_breakdown,
     delta_gamma_e,
@@ -36,7 +39,7 @@ from magcp.potentials import (
     u_m_static,
 )
 
-from conftest import make_particle, resonant_drude
+from conftest import OMEGA_E, make_particle, resonant_drude
 
 # independent scipy.quad oracle, Drude gold, z_tilde = 1, S = 100
 ORACLE_UE_DRUDE_Z1 = -2.198571843666e-02
@@ -328,25 +331,106 @@ def test_unattainable_tolerance_at_the_real_pole_is_flagged():
 
 
 P_RES = make_particle(spin=5.0, m_s=0.0)
+P_SLOW = make_particle(spin=5.0, m_s=0.0, omega_m=1e-8 * OMEGA_E)
+
+
+@pytest.fixture
+def initial_panels(monkeypatch):
+    """Initial panels of every real-frequency sector: the propagating
+    one's breakpoints inside (0, 1) and the evanescent one's split
+    points, each plus the panel a sector starts from."""
+    counts = []
+    finite, semi = potentials.integrate_finite, potentials.integrate_semi_infinite
+
+    def counting_finite(f, a, b, config, breakpoints=(), **kwargs):
+        counts.append(sum(a < p < b for p in breakpoints) + 1)
+        return finite(f, a, b, config, breakpoints, **kwargs)
+
+    def counting_semi(f, a, config, **kwargs):
+        counts.append(len(config.split_points or ()) + 1)
+        return semi(f, a, config, **kwargs)
+
+    monkeypatch.setattr(potentials, "integrate_finite", counting_finite)
+    monkeypatch.setattr(potentials, "integrate_semi_infinite", counting_semi)
+    return counts
 
 
 @pytest.mark.parametrize("surface", [
     resonant_drude(P_RES),
     Plasma(omega_p=1.001 * math.sqrt(2.0) * P_RES.omega_m),
     Plasma(omega_p=1.001 * math.sqrt(2.0) * P_RES.omega_e),
+    Plasma(omega_p=1e-3 * P_RES.omega_e),
     GOLD, PLASMA, PC,
 ], ids=["resonant-drude", "resonant-plasma-m", "resonant-plasma-e",
-        "drude", "plasma", "pc"])
-def test_real_frequency_calls_finite(surface):
-    # eps just below -1 puts the pole far out with a large residue; every
-    # real-frequency result is finite or flagged, and no warning is raised
+        "eps-near-one", "drude", "plasma", "pc"])
+def test_real_frequency_calls_finite(surface, initial_panels):
+    # eps just below -1 puts the pole far out with a large residue, and
+    # eps near 1 or omega_m/omega_e = 1e-8 sets the material-scale
+    # ladders many decades apart; every real-frequency result is finite
+    # or flagged, no warning is raised, and the ladders stay short
     q = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-12)
-    for zt in np.logspace(-4.0, 3.0, 8):
-        g = geo(P_RES, zt)
+    for particle, zt in itertools.product((P_RES, P_SLOW),
+                                          np.logspace(-4.0, 3.0, 8)):
+        g = geo(particle, zt)
         for value, _ in (
-                delta_gamma_e(P_RES, surface, g, q, strict=False),
+                delta_gamma_e(particle, surface, g, q, strict=False),
+                delta_gamma_m(particle, surface, g, q, strict=False),
+                u_m_excited0(particle, surface, g, q, strict=False),
+                u_m_excited0(particle, surface, g, q, deriv=True,
+                             strict=False)):
+            assert math.isfinite(value), zt
+    assert max(initial_panels) <= 36
+
+
+def test_ladder_length_is_bounded():
+    # ratio 4 while that takes at most about 32 points, wider beyond
+    assert _ladder(1.0, 1.0) == (1.0,)
+    assert _ladder(1.0, 64.0) == (1.0, 4.0, 16.0, 64.0)
+    for lo, hi in ((1e-12, 1e12), (1e-150, 1e150), (5e-324, 1e300)):
+        points = _ladder(lo, hi)
+        ratio = points[1] / points[0]
+        assert points[0] == lo and points[-1] * ratio > 3.9 * hi
+        assert len(points) <= 33, (lo, hi)
+
+
+def test_near_contact_resonant_integrals_converge():
+    # r_s written as (kappa - kappa_2)/(kappa + kappa_2) cancelled at the
+    # large kappa these reach, and each ran to 6046 evaluations without
+    # converging
+    q = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-12)
+    p = make_particle()
+    assert u_m_excited0(p, GOLD, geo(p, 1e-4), q, deriv=True,
+                        strict=False)[1].converged
+    surface = resonant_drude(P_RES)
+    for zt in (1e-4, 1e-3, 0.01, 0.03):
+        g = geo(P_RES, zt)
+        for _, res in (
                 delta_gamma_m(P_RES, surface, g, q, strict=False),
                 u_m_excited0(P_RES, surface, g, q, strict=False),
                 u_m_excited0(P_RES, surface, g, q, deriv=True,
                              strict=False)):
-            assert math.isfinite(value), zt
+            assert res.converged, zt
+
+
+def test_resonant_integrand_calls(monkeypatch):
+    # Each integrand call costs ~190 us of overhead against well under
+    # 1 us per point, so the time of a real-frequency integral follows
+    # its calls.  Before the material-scale ladders this grid took 769
+    # calls (the propagating sector bisected toward u_b one step at a
+    # time); with them it takes 220.
+    calls = []
+    fresnel = potentials.fresnel_real_freq_from_kappa
+
+    def counting(surface, kappa_perp, omega):
+        calls.append(np.size(kappa_perp))
+        return fresnel(surface, kappa_perp, omega)
+
+    monkeypatch.setattr(potentials, "fresnel_real_freq_from_kappa", counting)
+    p = make_particle()
+    q = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-12)
+    for surface in (GOLD, PLASMA):
+        for deriv in (0, 1):
+            for zt in np.logspace(-3.0, 3.0, 13):
+                assert _resonant_j(p, surface, geo(p, zt), q,
+                                   deriv=deriv).converged
+    assert len(calls) <= 240
