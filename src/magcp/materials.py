@@ -110,9 +110,14 @@ def permittivity_real_freq(model: SurfaceModel, omega: float) -> complex:
 
 def _fresnel_from_eps(eps, kappa_perp, xi_over_c_sq):
     """r_s, r_p on the imaginary axis from eps(i*xi) and the vacuum
-    kappa_perp, with kappa_2^2 = kappa_perp^2 + (eps-1)*xi^2/c^2."""
-    kappa_2 = np.sqrt(kappa_perp**2 + (eps - 1.0) * xi_over_c_sq)
-    r_s = (kappa_perp - kappa_2) / (kappa_perp + kappa_2)
+    kappa_perp, with kappa_2^2 = kappa_perp^2 + (eps-1)*xi^2/c^2.
+
+    r_s is taken as -(eps-1)*xi^2/c^2/(kappa_perp + kappa_2)^2, equal to
+    (kappa_perp - kappa_2)/(kappa_perp + kappa_2) and free of its
+    cancellation where kappa_perp^2 dwarfs the contrast."""
+    contrast = (eps - 1.0) * xi_over_c_sq
+    kappa_2 = np.sqrt(kappa_perp**2 + contrast)
+    r_s = -contrast / (kappa_perp + kappa_2) ** 2
     r_p = (eps * kappa_perp - kappa_2) / (eps * kappa_perp + kappa_2)
     return r_s, r_p
 

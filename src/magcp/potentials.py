@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.constants as sc
-from scipy.special import exp1, expi
 
 from .materials import (
     Drude,
@@ -102,6 +101,12 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     with wt = omega_m/omega_e.  Both brackets are evaluated in the cleared
     form [r a x^2 - r_b k^2]/(x^2 + w^2) to stay finite at xi -> 0.
     deriv inserts the factor -2*kappa (d/dz of the exponential).
+
+    The outer xi integral starts from split points at the surface's
+    frequencies and from the _xi_ladder that _pc_single uses for the same
+    outer integrand, which bridges w and 1/(2z): these lie up to ten
+    decades apart for the magnetic bracket, and every outer bisection
+    costs a whole lockstep of inner kappa integrals.
     """
     zt = geometry.z_tilde(particle)
     wt = particle.omega_tilde
@@ -109,11 +114,12 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     omega_e = particle.omega_e
 
     if which == "electric":
-        w_sq = 1.0
+        w = 1.0
     elif which == "magnetic":
-        w_sq = wt * wt
+        w = wt
     else:
         raise ValueError(f"which must be electric or magnetic, got {which!r}")
+    w_sq = w * w
 
     # xi_t is a scalar with a 1-d kappa_t, or a column with a 2-d kappa_t
     def inner(xi_t, kappa_t: np.ndarray) -> np.ndarray:
@@ -127,7 +133,7 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
             out *= -2.0 * kappa_t
         return out
 
-    breakpoints = {wt, 1.0}
+    breakpoints = {wt, 1.0, *_xi_ladder(zt, w)}
     if isinstance(surface, Drude):
         breakpoints.update({surface.omega_p / omega_e,
                             surface.gamma / omega_e})
@@ -230,6 +236,14 @@ def _ladder(lo: float, hi: float) -> tuple[float, ...]:
     return tuple(points)
 
 
+def _xi_ladder(zt: float, w: float) -> tuple[float, ...]:
+    """_ladder between the two scales of the outer xi integral of the
+    broadband shifts: the Lorentzian 1/(xi^2 + w^2) at w and the
+    e^(-2 xi z) envelope at 1/(2z)."""
+    envelope = 1.0 / (2.0 * zt)
+    return _ladder(min(w, envelope), max(w, envelope))
+
+
 def _pc_single(zt: float, w: float, quad: QuadratureConfig,
                deriv: bool = False) -> IntegralResult:
     """integral of w*f(2*xi*z)/(xi^2+w^2) over xi in (0, inf).
@@ -245,12 +259,9 @@ def _pc_single(zt: float, w: float, quad: QuadratureConfig,
             val *= 2.0 * xi
         return val
 
-    # the kernel decays on scale 1/(2z) and the Lorentzian on scale w
-    s_lo = min(w, 1.0 / (2.0 * zt))
-    s_hi = max(w, 1.0 / (2.0 * zt))
     return integrate_semi_infinite(
-        integrand, 0.0, replace(quad, split_points=_ladder(s_lo, s_hi)),
-        tail_scale=s_hi)
+        integrand, 0.0, replace(quad, split_points=_xi_ladder(zt, w)),
+        tail_scale=max(w, 1.0 / (2.0 * zt)))
 
 
 def _pc_closed(zt: float, w: float, prefactor: float,
@@ -306,6 +317,10 @@ def _exp_e1(z: complex) -> complex:
     |z| > 1, where scipy's complex E1 is off by up to 1e-12, the
     continued fraction 1/(z+1- 1/(z+3- 4/(z+5- ...))) is used instead.
     """
+    # imported here: scipy.special costs about 6 MB and 0.2 s of
+    # start-up that only the plasmon-pole add-back needs
+    from scipy.special import exp1, expi
+
     z = complex(z)
     if abs(z) > 40.0:
         term, total = 1.0 / z, 0.0

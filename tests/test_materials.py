@@ -22,6 +22,8 @@ from magcp.materials import (
     permittivity_real_freq,
 )
 
+from conftest import OMEGA_E
+
 GOLD = Drude(omega_p=1.36e16, gamma=1.0e14)
 PLASMA = Plasma(omega_p=1.36e16)
 PC = PerfectConductor()
@@ -228,6 +230,32 @@ def test_real_freq_r_s_free_of_cancellation(model, k_over_k0):
     kappa = complex(k_over_k0) * w / sc.c
     got = complex(fresnel_real_freq_from_kappa(model, kappa, w).r_s)
     ref = _r_s_mpmath(model, kappa, w)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def _r_s_imag_mpmath(model, kappa, xi):
+    """(kappa - kappa_2)/(kappa + kappa_2) at imaginary frequency, 40
+    digits."""
+    with mpmath.workdps(40):
+        xi_m = mpmath.mpf(xi)
+        gamma = model.gamma if isinstance(model, Drude) else 0.0
+        eps = 1 + mpmath.mpf(model.omega_p) ** 2 / (xi_m**2 + gamma * xi_m)
+        k = mpmath.mpf(kappa)
+        k2 = mpmath.sqrt(k**2 + (eps - 1) * (xi_m / sc.c) ** 2)
+        return float((k - k2) / (k + k2))
+
+
+@pytest.mark.parametrize("model", [GOLD, PLASMA], ids=["drude", "plasma"])
+@pytest.mark.parametrize("xi_t, kappa_t", [(1e-8, 300.0), (1e-3, 1e5)])
+def test_imag_axis_r_s_free_of_cancellation(model, xi_t, kappa_t):
+    # xi and kappa in units of omega_e and k_e, reached by the near-
+    # contact ground-state integrals: the difference kappa - kappa_2
+    # cancelled, Drude gold was 5.0e-6 off at (1e-8, 300) and 2.1e-6 at
+    # (1e-3, 1e5)
+    xi = xi_t * OMEGA_E
+    kappa = kappa_t * OMEGA_E / sc.c
+    got = float(fresnel_imag_axis(model, kappa, xi).r_s)
+    ref = _r_s_imag_mpmath(model, kappa, xi)
     assert abs(got - ref) <= 1e-13 * abs(ref)
 
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magcp import Drude, Geometry, PerfectConductor, Plasma, \
-    QuadratureConfig, potentials
+from magcp import Drude, Geometry, IntegralResult, PerfectConductor, \
+    Plasma, QuadratureConfig, potentials
 from magcp.potentials import (
     QuadratureFailure,
     _exp_e1,
@@ -434,3 +434,69 @@ def test_resonant_integrand_calls(monkeypatch):
                 assert _resonant_j(p, surface, geo(p, zt), q,
                                    deriv=deriv).converged
     assert len(calls) <= 240
+
+
+GROUND_CASES = list(itertools.product((GOLD, PLASMA), ("electric", "magnetic"),
+                                      (False, True)))
+
+
+def test_ground_double_integrand_calls(monkeypatch):
+    # Each outer step of a ground-state double integral is one Fresnel
+    # call over the inner lockstep, so its time follows its calls.
+    # Before the outer xi ladder and the cancellation-free imaginary-axis
+    # r_s this grid took 7577 calls (Drude electric/magnetic 530/3926,
+    # plasma 578/2543) and 4 integrals did not converge; with them it
+    # takes 1776 (221/809 and 221/525).
+    calls = []
+    fresnel = potentials.fresnel_imag_axis
+
+    def counting(surface, kappa_perp, xi):
+        calls.append(np.size(kappa_perp))
+        return fresnel(surface, kappa_perp, xi)
+
+    monkeypatch.setattr(potentials, "fresnel_imag_axis", counting)
+    p = make_particle()
+    q = QuadratureConfig(rel_tol=1e-6)
+    for (surface, which, deriv), zt in itertools.product(
+            GROUND_CASES, np.logspace(-3.0, 2.0, 11)):
+        res = potentials._ground_double(p, surface, geo(p, zt), q, which,
+                                        deriv)
+        assert res.converged, (surface, which, deriv, zt)
+    assert len(calls) <= 1900
+
+
+def test_ground_double_outer_panels_bounded(monkeypatch):
+    # omega_m/omega_e = 1e-8 sets w and 1/(2z) up to twelve decades
+    # apart; the outer ladder stays a few dozen initial panels
+    panels = []
+
+    def counting(inner_f, outer_lower, inner_lower, config, **kwargs):
+        panels.append(len(config.split_points) + 1)
+        return IntegralResult(0.0, 0.0, 0, True)
+
+    monkeypatch.setattr(potentials, "integrate_nested", counting)
+    for zt, which in itertools.product((1e-4, 1e3), ("electric", "magnetic")):
+        potentials._ground_double(P_SLOW, GOLD, geo(P_SLOW, zt), QUAD, which,
+                                  False)
+    assert max(panels) <= 36
+
+
+@pytest.mark.parametrize("zt", [1e-3, 0.3, 100.0])
+def test_ground_double_loose_values_near_tight(zt):
+    # rel_tol 1e-6 values are within 3e-9 of converged rel_tol 1e-10 ones
+    # (the worst is Drude magnetic deriv at z_tilde 1e-3); while r_s
+    # cancelled, the tight Drude magnetic runs at z_tilde 1e-3 did not
+    # converge.  The tight abs_tol is 1e-10 of the far-zone values
+    # (down to 2e-10), and at most 1e-16: below that the inner integrals
+    # at the far outer nodes near contact stop at their rounding noise.
+    p = make_particle()
+    g = geo(p, zt)
+    loose = QuadratureConfig(rel_tol=1e-6)
+    for surface, which, deriv in GROUND_CASES:
+        res = potentials._ground_double(p, surface, g, loose, which, deriv)
+        tight = QuadratureConfig(rel_tol=1e-10,
+                                 abs_tol=min(1e-16, 1e-10 * abs(res.value)))
+        ref = potentials._ground_double(p, surface, g, tight, which, deriv)
+        assert ref.converged, (surface, which, deriv)
+        assert res.value == pytest.approx(ref.value, rel=1e-7), \
+            (surface, which, deriv)
