@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.constants as sc
 
+from . import constants as sc
 from .materials import (
     Drude,
     FresnelPair,

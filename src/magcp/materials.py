@@ -22,7 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.constants as sc
+
+from . import constants as sc
 
 log = logging.getLogger(__name__)
 
@@ -79,8 +80,10 @@ class FresnelPair:
     r_p: complex
 
 
-def permittivity_imag_axis(model: SurfaceModel, xi):
-    """Real epsilon(i*xi) >= 1; PerfectConductor returns +inf."""
+def _susceptibility_imag_axis(model: SurfaceModel, xi):
+    """eps(i*xi) - 1 >= 0, formed without the rounding of 1 + (eps - 1),
+    which is all of eps - 1 where eps -> 1 at large xi; PerfectConductor
+    returns +inf."""
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0):
         raise NegativeFrequency(f"xi must be >= 0, got {xi}")
@@ -88,11 +91,16 @@ def permittivity_imag_axis(model: SurfaceModel, xi):
         return np.full_like(xi, np.inf)
     if isinstance(model, Drude):
         with np.errstate(divide="ignore"):
-            return 1.0 + model.omega_p**2 / (xi**2 + model.gamma * xi)
+            return model.omega_p**2 / (xi**2 + model.gamma * xi)
     if isinstance(model, Plasma):
         with np.errstate(divide="ignore"):
-            return 1.0 + model.omega_p**2 / xi**2
+            return model.omega_p**2 / xi**2
     raise TypeError(f"unknown surface model {model!r}")
+
+
+def permittivity_imag_axis(model: SurfaceModel, xi):
+    """Real epsilon(i*xi) >= 1; PerfectConductor returns +inf."""
+    return 1.0 + _susceptibility_imag_axis(model, xi)
 
 
 def permittivity_real_freq(model: SurfaceModel, omega: float) -> complex:
@@ -108,17 +116,24 @@ def permittivity_real_freq(model: SurfaceModel, omega: float) -> complex:
     raise TypeError(f"unknown surface model {model!r}")
 
 
-def _fresnel_from_eps(eps, kappa_perp, xi_over_c_sq):
-    """r_s, r_p on the imaginary axis from eps(i*xi) and the vacuum
-    kappa_perp, with kappa_2^2 = kappa_perp^2 + (eps-1)*xi^2/c^2.
+def _fresnel_from_chi(chi, kappa_perp, xi_over_c_sq):
+    """r_s, r_p on the imaginary axis from chi = eps(i*xi) - 1 and the
+    vacuum kappa_perp, with kappa_2^2 = kappa_perp^2 + chi*xi^2/c^2.
 
-    r_s is taken as -(eps-1)*xi^2/c^2/(kappa_perp + kappa_2)^2, equal to
-    (kappa_perp - kappa_2)/(kappa_perp + kappa_2) and free of its
-    cancellation where kappa_perp^2 dwarfs the contrast."""
-    contrast = (eps - 1.0) * xi_over_c_sq
+    Both numerators cancel where the medium barely differs from vacuum,
+    so each is written through kappa_perp - kappa_2 =
+    -chi*xi^2/c^2/(kappa_perp + kappa_2): r_s as
+    -chi*xi^2/c^2/(kappa_perp + kappa_2)^2, and r_p, whose numerator
+    eps*kappa_perp - kappa_2 cancels where eps -> 1 at large xi, as
+    (chi*kappa_perp - chi*xi^2/c^2/(kappa_perp + kappa_2))
+    /(chi*kappa_perp + kappa_perp + kappa_2).  kappa_perp >= xi/c keeps
+    the subtracted term below half of chi*kappa_perp."""
+    contrast = chi * xi_over_c_sq
     kappa_2 = np.sqrt(kappa_perp**2 + contrast)
-    r_s = -contrast / (kappa_perp + kappa_2) ** 2
-    r_p = (eps * kappa_perp - kappa_2) / (eps * kappa_perp + kappa_2)
+    total = kappa_perp + kappa_2
+    r_s = -contrast / total**2
+    chi_kappa = chi * kappa_perp
+    r_p = (chi_kappa - contrast / total) / (chi_kappa + total)
     return r_s, r_p
 
 
@@ -142,9 +157,9 @@ def fresnel_imag_axis(model: SurfaceModel, kappa_perp, xi) -> FresnelPair:
         ones = np.ones(np.broadcast_shapes(kappa_perp.shape, xi.shape))
         r_s, r_p = -ones, ones
     else:
-        eps = permittivity_imag_axis(model, xi)
-        with np.errstate(invalid="ignore"):  # eps = inf where xi = 0
-            r_s, r_p = _fresnel_from_eps(eps, kappa_perp, (xi / sc.c) ** 2)
+        chi = _susceptibility_imag_axis(model, xi)
+        with np.errstate(invalid="ignore"):  # chi = inf where xi = 0
+            r_s, r_p = _fresnel_from_chi(chi, kappa_perp, (xi / sc.c) ** 2)
     if np.any(static):
         limit = fresnel_static_limit(model, kappa_perp)
         r_s = np.where(static, limit.r_s, r_s)

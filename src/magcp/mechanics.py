@@ -7,9 +7,9 @@ convention: +z points away from the surface, so repulsion is positive and
 gravity is negative.
 
 Every component goes through :func:`magcp.potentials.component`, which
-picks its representation (for the perfect conductor, the single-integral
-closed forms of the ground-state shifts); the analytic and the
-finite-difference force paths differ only in the deriv flag.
+picks its representation (for the perfect conductor, the closed forms of
+every shift and slope); the analytic and the finite-difference force
+paths differ only in the deriv flag.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import scipy.constants as sc
-
+from . import constants as sc
 from .asymptotics import RegimeViolation, _check_nr
 from .materials import SurfaceModel
 from .params import EnvironmentSpec, Geometry, ParticleSpec, \

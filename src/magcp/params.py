@@ -12,13 +12,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-import scipy.constants as sc
+from . import constants as sc
 
 log = logging.getLogger(__name__)
 
-E_A0 = sc.e * sc.physical_constants["Bohr radius"][0]  # 1 atomic dipole unit, C*m
+E_A0 = sc.e * sc.bohr_radius  # 1 atomic dipole unit, C*m
 ALPHA = sc.fine_structure
-M_U = sc.physical_constants["atomic mass constant"][0]
+M_U = sc.atomic_mass
 
 # Gyromagnetic ratio of a g=2 electron spin.  Written via the fine-structure
 # identity hbar*gyro = alpha*e*a0*c (== e/m_e up to CODATA rounding) so that

@@ -11,6 +11,11 @@ plasmon emission channel as the gamma -> 0 limit of Drude.  Everything
 is dimensionless: potentials in units of hbar*Gamma0, distances in
 1/k_e.
 
+Above a perfect conductor every shift and slope has a closed form (the
+sine and cosine integrals for the broadband shifts, elementary functions
+for the static image and the resonant shift), and component() routes
+there, so no perfect-conductor shift runs a quadrature.
+
 The ground state is the stretched sublevel m_S = -S.  Its magnetic shift
 splits into a broadband part linear in S, and a magnetostatic image part
 quadratic in S that survives only for surface models with a nonzero
@@ -28,8 +33,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.constants as sc
 
+from . import constants as sc
 from .materials import (
     Drude,
     PerfectConductor,
@@ -103,8 +108,8 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     deriv inserts the factor -2*kappa (d/dz of the exponential).
 
     The outer xi integral starts from split points at the surface's
-    frequencies and from the _xi_ladder that _pc_single uses for the same
-    outer integrand, which bridges w and 1/(2z): these lie up to ten
+    frequencies and from _xi_ladder, which bridges the Lorentzian scale w
+    and the envelope scale 1/(2z) of the outer integrand: these lie up to ten
     decades apart for the magnetic bracket, and every outer bisection
     costs a whole lockstep of inner kappa integrals.
     """
@@ -209,15 +214,7 @@ def u_m_static(particle: ParticleSpec, surface: SurfaceModel,
 
 
 # ---------------------------------------------------------------------------
-# perfect-conductor closed forms (single integrals)
-
-def _f_kernel(x: np.ndarray) -> np.ndarray:
-    return (1.0 + x + x**2) * np.exp(-x)
-
-
-def _f_kernel_prime(x: np.ndarray) -> np.ndarray:
-    return (x - x**2) * np.exp(-x)
-
+# scale ladders for the initial panels
 
 def _ladder(lo: float, hi: float) -> tuple[float, ...]:
     """Geometric breakpoints lo, 4*lo, 16*lo, ... below 4*hi.
@@ -244,83 +241,117 @@ def _xi_ladder(zt: float, w: float) -> tuple[float, ...]:
     return _ladder(min(w, envelope), max(w, envelope))
 
 
-def _pc_single(zt: float, w: float, quad: QuadratureConfig,
-               deriv: bool = False) -> IntegralResult:
-    """integral of w*f(2*xi*z)/(xi^2+w^2) over xi in (0, inf).
+# ---------------------------------------------------------------------------
+# perfect-conductor closed forms
 
-    With deriv=True integrates the z-derivative of the kernel,
-    w*2*xi*f'(2*xi*z)/(xi^2+w^2), instead.
+_EPS = float(np.finfo(float).eps)
+# y from which _pc_single sums the asymptotic series instead of f and g
+_SERIES_FROM = 40.0
+
+
+def _pc_single(y: float) -> tuple[float, float, float, float]:
+    """(I, I', error of I, error of I') at y = 2*z*w, where
+    I(y) = int_0^inf (1 + y t + y^2 t^2) e^(-y t)/(1 + t^2) dt.
+
+    I is the broadband kernel int_0^inf w K(2 xi z)/(xi^2 + w^2) dxi with
+    K(x) = (1 + x + x^2) e^(-x), and 2 w I'(y) is its z-derivative.  With
+    the auxiliary functions f and g of the sine and cosine integrals (DLMF
+    6.2.17-18), I = (1 - y^2) f + y g + y and I' = y (y g - f); f and g
+    come from e^(iy) E1(iy) = g - i f.  These cancel by about y^2 and y^3:
+    against mpmath they are within 3 eps (1 + y)^2 and 3 eps (1 + y)^3,
+    and the errors returned are 16 eps (1 + y)^2 and 16 eps (1 + y)^3
+    times their size.  From y = 40 the asymptotic series (DLMF 6.12(ii))
+    I = sum_j (-1)^j (2j)! (2j + 2)^2 / y^(2j+1) and its termwise
+    derivative are summed up to the smallest term instead.  Expanding
+    1/(1 + t^2) to n terms leaves a remainder of at most the n-th term
+    for I and (2n + 2)! (2n + 4)/y^(2n+2) for I'; these, plus rounding,
+    are the errors there.
     """
-    kern = _f_kernel_prime if deriv else _f_kernel
+    if y >= _SERIES_FROM:
+        value = slope = 0.0
+        term, j = 4.0 / y, 0
+        while True:
+            nxt = -term * (2 * j + 1) * (2 * j + 4) ** 2 \
+                / ((2 * j + 2) * y * y)
+            if abs(nxt) >= abs(term):
+                break
+            value += term
+            slope -= (2 * j + 1) * term / y
+            term, j = nxt, j + 1
+        err_slope = abs(term) * (2 * j + 1) * (2 * j + 4) / ((2 * j + 2) * y)
+        return (value, slope, abs(term) + 8.0 * _EPS * abs(value),
+                err_slope + 8.0 * _EPS * abs(slope))
+    # E1(iy) = -Ci(y) + i si(y), with si = Si - pi/2 (DLMF 6.5)
+    h = _exp_e1(complex(0.0, y))
+    f, g = -h.imag, h.real
+    value = (1.0 - y * y) * f + y * g + y
+    slope = y * (y * g - f)
+    return (value, slope, 16.0 * _EPS * (1.0 + y) ** 2 * abs(value),
+            16.0 * _EPS * (1.0 + y) ** 3 * abs(slope))
 
-    def integrand(xi: np.ndarray) -> np.ndarray:
-        val = w * kern(2.0 * xi * zt) / (xi**2 + w**2)
-        if deriv:
-            val *= 2.0 * xi
-        return val
 
-    return integrate_semi_infinite(
-        integrand, 0.0, replace(quad, split_points=_xi_ladder(zt, w)),
-        tail_scale=max(w, 1.0 / (2.0 * zt)))
-
-
-def _pc_closed(zt: float, w: float, prefactor: float,
-               quad: QuadratureConfig, deriv: bool, what: str, strict: bool):
-    """Value (or z-derivative) of prefactor/z^3 times the kernel integral."""
-    res = _pc_single(zt, w, quad)
-    if not deriv:
-        return _finish(prefactor / zt**3 * res.value, res, what, strict)
-    res_d = _pc_single(zt, w, quad, deriv=True)
-    value = prefactor * (-3.0 / zt**4 * res.value + res_d.value / zt**3)
-    combined = IntegralResult(
-        value,
-        abs(prefactor) * (3.0 / zt**4 * res.error_estimate
-                          + res_d.error_estimate / zt**3),
-        res.evaluations + res_d.evaluations,
-        res.converged and res_d.converged,
-    )
-    return _finish(value, combined, what, strict)
+def _pc_closed(zt: float, w: float, prefactor: float, deriv: bool):
+    """(value, IntegralResult) of prefactor * I(2 z w)/z^3, or of its
+    z-derivative prefactor * (-3 I/z^4 + 2 w I'/z^3)."""
+    i, di, err, err_d = _pc_single(2.0 * zt * w)
+    if deriv:
+        value = prefactor * (-3.0 / zt**4 * i + 2.0 * w * di / zt**3)
+        bound = abs(prefactor) * (3.0 / zt**4 * err + 2.0 * w * err_d / zt**3)
+    else:
+        value = prefactor / zt**3 * i
+        bound = abs(prefactor) / zt**3 * err
+    bound += 4.0 * _EPS * abs(value)
+    return value, IntegralResult(value, bound, 0, True)
 
 
 def u_e_pc_closed(particle: ParticleSpec, geometry: Geometry,
                   quad: QuadratureConfig, deriv: bool = False,
                   strict: bool = True):
-    """Single-integral form of the electric shift, perfect conductor only."""
+    """Closed form of the electric shift, perfect conductor only.
+
+    quad and strict are accepted for the evaluators' common signature; a
+    closed form runs no quadrature and cannot fail to converge.
+    """
     zt = geometry.z_tilde(particle)
-    return _pc_closed(zt, 1.0, -3.0 / (32.0 * math.pi), quad, deriv,
-                      "electric closed form", strict)
+    return _pc_closed(zt, 1.0, -3.0 / (32.0 * math.pi), deriv)
 
 
 def u_m_pc_closed(particle: ParticleSpec, geometry: Geometry,
                   quad: QuadratureConfig, deriv: bool = False,
                   strict: bool = True):
-    """Single-integral form of the broadband magnetic shift (PC only)."""
+    """Closed form of the broadband magnetic shift (PC only); quad and
+    strict are accepted and unused, as in u_e_pc_closed."""
     zt = geometry.z_tilde(particle)
     pref = 3.0 * particle.eta * particle.spin / (32.0 * math.pi)
-    return _pc_closed(zt, particle.omega_tilde, pref, quad, deriv,
-                      "magnetic closed form", strict)
+    return _pc_closed(zt, particle.omega_tilde, pref, deriv)
 
 
 # ---------------------------------------------------------------------------
 # real-frequency split integral (resonant shift and decay rates)
+
+_EULER_GAMMA = 0.5772156649015329
+
 
 def _exp_e1(z: complex) -> complex:
     """e^z E1(z), with E1 taken on the lower side of its cut.
 
     On the negative real axis this is the limit from Im z < 0,
     E1(-x - i0) = -Ei(x) + i*pi; elsewhere E1 is the principal branch,
-    which is continuous with that limit.  The
-    product of exp(z) and E1(z) would be 0*inf once -Re z passes about
-    709, so for |z| > 40 the asymptotic series sum_k (-1)^k k!/z^(k+1) is
-    summed to its smallest term, below 1e-17 of the sum there; the
-    omitted Stokes term i*pi*e^z is below e^-40.  For Re z > 0 and
-    |z| > 1, where scipy's complex E1 is off by up to 1e-12, the
-    continued fraction 1/(z+1- 1/(z+3- 4/(z+5- ...))) is used instead.
+    which is continuous with that limit.  Four forms cover the plane,
+    each within 1e-14 of mpmath where it is used:
+    * |z| > 40: the asymptotic series sum_k (-1)^k k!/z^(k+1), summed to
+      its smallest term, below 1e-17 of the sum there (the product of
+      exp(z) and E1(z) would be 0*inf once -Re z passes about 709); the
+      omitted Stokes term i*pi*e^z is below e^-40;
+    * the negative real axis: Ei(x) = gamma + ln x + sum_k x^k/(k k!),
+      whose terms are all positive;
+    * |z| + Re z < 3: E1(z) = -gamma - log z - sum_k (-z)^k/(k k!), whose
+      largest term exceeds the sum by about e^(|z| + Re z);
+    * elsewhere the continued fraction 1/(z+1- 1/(z+3- 4/(z+5- ...))),
+      which takes at most about 85 terms there.
+    magcp sums these itself rather than import scipy.special, which
+    costs about 24 MB of memory and 0.2 s of start-up.
     """
-    # imported here: scipy.special costs about 6 MB and 0.2 s of
-    # start-up that only the plasmon-pole add-back needs
-    from scipy.special import exp1, expi
-
     z = complex(z)
     if abs(z) > 40.0:
         term, total = 1.0 / z, 0.0
@@ -330,22 +361,36 @@ def _exp_e1(z: complex) -> complex:
             if abs(term) < 1e-17 * abs(total):
                 break
         return total
-    if z.real > 0.0 and abs(z) > 1.0:
-        # modified Lentz; under 200 terms on this domain
-        b = z + 1.0
-        c, d = 1e300, 1.0 / b
-        total = d
-        for k in range(1, 500):
-            b += 2.0
-            d = 1.0 / (b - k * k * d)
-            c = b - k * k / c
-            total *= c * d
-            if abs(c * d - 1.0) < 1e-16:
-                break
-        return total
     if z.imag == 0.0 and z.real < 0.0:
-        return math.exp(z.real) * complex(-expi(-z.real), math.pi)
-    return cmath.exp(z) * complex(exp1(z))
+        x = -z.real
+        term = total = x
+        k = 1
+        while term > 1e-17 * total:
+            k += 1
+            term *= x * (k - 1) / (k * k)
+            total += term
+        ei = _EULER_GAMMA + math.log(x) + total
+        return math.exp(z.real) * complex(-ei, math.pi)
+    if abs(z) + z.real < 3.0:
+        term = total = -z
+        k = 1
+        while abs(term) > 1e-17 * abs(total):
+            k += 1
+            term *= -z * (k - 1) / (k * k)
+            total += term
+        return cmath.exp(z) * (-_EULER_GAMMA - cmath.log(z) - total)
+    # modified Lentz
+    b = z + 1.0
+    c, d = 1e300, 1.0 / b
+    total = d
+    for k in range(1, 500):
+        b += 2.0
+        d = 1.0 / (b - k * k * d)
+        c = b - k * k / c
+        total *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    return total
 
 
 def _surface_pole(surface: SurfaceModel, omega: float,
@@ -485,14 +530,39 @@ def u_m_excited0(particle: ParticleSpec, surface: SurfaceModel,
                    strict)
 
 
-def u_m0_pc_closed(particle: ParticleSpec, geometry: Geometry) -> float:
-    """Closed form of the resonant shift for the perfect conductor."""
+def u_m0_pc_closed(particle: ParticleSpec, geometry: Geometry,
+                   deriv: bool = False) -> float:
+    """Closed form of the resonant shift for the perfect conductor,
+    C B(x)/z^3 with x = w z; with deriv=True its d/dz_tilde,
+    C (-3 B/z^4 + w B'(x)/z^3)."""
     zt = geometry.z_tilde(particle)
     x = particle.omega_tilde * zt
     bracket = math.cos(2 * x) + 2 * x * math.sin(2 * x) \
         - 4 * x * x * math.cos(2 * x)
+    if deriv:
+        slope = 8 * x * x * math.sin(2 * x) - 4 * x * math.cos(2 * x)
+        return 3.0 * particle.eta * particle.spin * (particle.spin + 1.0) \
+            / 64.0 * (-3.0 * bracket / zt**4
+                      + particle.omega_tilde * slope / zt**3)
     return 3.0 * particle.eta * particle.spin * (particle.spin + 1.0) \
         / (64.0 * zt**3) * bracket
+
+
+def _u_m0_pc_result(particle: ParticleSpec, geometry: Geometry,
+                    quad: QuadratureConfig, deriv: bool = False,
+                    strict: bool = True):
+    """u_m0_pc_closed as (value, IntegralResult), the form of the other
+    evaluators.  The error is the rounding of the bracket, whose terms
+    reach (1 + 2x)^2, and of its phase 2x, which costs one more power of
+    1 + 2x; the slope has one more power of (1 + 2x)/z besides."""
+    value = u_m0_pc_closed(particle, geometry, deriv=deriv)
+    zt = geometry.z_tilde(particle)
+    grow = 1.0 + 2.0 * particle.omega_tilde * zt
+    size = 3.0 * particle.eta * particle.spin * (particle.spin + 1.0) \
+        / (64.0 * zt**3) * grow**3
+    if deriv:
+        size *= 3.0 * grow / zt
+    return value, IntegralResult(value, 8.0 * _EPS * size, 0, True)
 
 
 def delta_gamma_m(particle: ParticleSpec, surface: SurfaceModel,
@@ -537,16 +607,18 @@ def component(name: str, particle: ParticleSpec, surface: SurfaceModel,
     """(value, IntegralResult) of one shift, or of its d/dz_tilde.
 
     name is "electric", "magnetic" (broadband), "static" or "excited0".
-    This is the one place that picks a representation: above a perfect
-    conductor the electric and broadband magnetic shifts use the
-    single-integral closed forms, which agree with the double integrals
-    and cost far less; everything else uses the generic evaluator.  The
-    evaluators are looked up by name on every call, so a wrapper bound
-    to the module name sees each call.  Never raises on non-convergence.
+    This is the one place that picks a representation.  Above a perfect
+    conductor every shift has a closed form and no quadrature runs: the
+    electric and broadband magnetic shifts in the sine and cosine
+    integrals (u_e_pc_closed, u_m_pc_closed), the resonant one in
+    u_m0_pc_closed, and the static image inside u_m_static.  Drude and
+    plasma surfaces use the integrals.  The evaluators are looked up by
+    name on every call, so a wrapper bound to the module name sees each
+    call.  Never raises on non-convergence.
     """
-    if isinstance(surface, PerfectConductor) and name in ("electric",
-                                                          "magnetic"):
-        closed = u_e_pc_closed if name == "electric" else u_m_pc_closed
+    if isinstance(surface, PerfectConductor) and name != "static":
+        closed = {"electric": u_e_pc_closed, "magnetic": u_m_pc_closed,
+                  "excited0": _u_m0_pc_result}[name]
         return closed(particle, geometry, quad, deriv=deriv, strict=False)
     evaluator = {"electric": u_e_ground, "magnetic": u_m_ground_broadband,
                  "static": u_m_static, "excited0": u_m_excited0}[name]

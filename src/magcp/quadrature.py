@@ -182,10 +182,9 @@ def _adaptive_rows(g, edges, config: QuadratureConfig):
 
     # sequential sums in position order; empty slots sort last and add 0
     order = np.argsort(lo[:, :used], axis=1, kind="stable")
-    value = np.cumsum(np.take_along_axis(val[:, :used], order, axis=1),
-                      axis=1)[:, -1]
-    error = np.cumsum(np.take_along_axis(err[:, :used], order, axis=1),
-                      axis=1)[:, -1]
+    by_row = np.arange(n)[:, None]
+    value = np.cumsum(val[by_row, order], axis=1)[:, -1]
+    error = np.cumsum(err[by_row, order], axis=1)[:, -1]
     return value, error, evals
 
 

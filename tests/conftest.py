@@ -60,7 +60,8 @@ def quad_fast():
 
 # the component evaluators a representation choice can route to
 COUNTED_COMPONENTS = ("u_e_ground", "u_m_ground_broadband", "u_m_static",
-                      "u_e_pc_closed", "u_m_pc_closed")
+                      "u_m_excited0", "u_e_pc_closed", "u_m_pc_closed",
+                      "u_m0_pc_closed")
 
 
 @pytest.fixture

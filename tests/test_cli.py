@@ -60,16 +60,24 @@ def test_potential_csv_output(tmp_path):
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize loads scipy.linalg, sparse, spatial and fft: 23 MB
     # and 0.3 s of start-up that only find_equilibrium needs, so it
-    # imports brentq itself; likewise scipy.special (about 6 MB and
-    # 0.2 s), which only the plasmon-pole add-back _exp_e1 needs
+    # imports brentq itself.  scipy.constants (19 MB of array-API
+    # support) and scipy.special (24 MB with it) are not needed at all:
+    # the constants are written out and _exp_e1 sums E1 itself, so the
+    # plasmon-pole add-back and the perfect-conductor closed forms load
+    # neither
     src = str(Path(magcp.__file__).resolve().parent.parent)
     probe = ("import sys, magcp, magcp.cli; "
+             "p = magcp.build_particle(omega_e=6e15, omega_m=6e10, spin=1, "
+             "dipole_moment_au=0.5); g = magcp.Geometry(1.0 / p.k_e); "
+             "q = magcp.QuadratureConfig(rel_tol=1e-6); "
+             "magcp.decay_breakdown(p, magcp.Plasma(1.36e16), g, q, m_s=0); "
+             "magcp.force_breakdown(p, magcp.PerfectConductor(), g, q); "
              "print([m in sys.modules for m in ('scipy.optimize', "
-             "'scipy.special')])")
+             "'scipy.special', 'scipy.constants')])")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.strip() == "[False, False, False]"
 
 
 def test_output_bit_stable(tmp_path):

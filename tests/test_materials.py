@@ -233,30 +233,35 @@ def test_real_freq_r_s_free_of_cancellation(model, k_over_k0):
     assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
-def _r_s_imag_mpmath(model, kappa, xi):
-    """(kappa - kappa_2)/(kappa + kappa_2) at imaginary frequency, 40
-    digits."""
+def _r_imag_mpmath(model, kappa, xi):
+    """(r_s, r_p) = ((kappa - kappa_2)/(kappa + kappa_2),
+    (eps kappa - kappa_2)/(eps kappa + kappa_2)) at imaginary frequency,
+    40 digits."""
     with mpmath.workdps(40):
         xi_m = mpmath.mpf(xi)
         gamma = model.gamma if isinstance(model, Drude) else 0.0
         eps = 1 + mpmath.mpf(model.omega_p) ** 2 / (xi_m**2 + gamma * xi_m)
         k = mpmath.mpf(kappa)
         k2 = mpmath.sqrt(k**2 + (eps - 1) * (xi_m / sc.c) ** 2)
-        return float((k - k2) / (k + k2))
+        return float((k - k2) / (k + k2)), \
+            float((eps * k - k2) / (eps * k + k2))
 
 
 @pytest.mark.parametrize("model", [GOLD, PLASMA], ids=["drude", "plasma"])
-@pytest.mark.parametrize("xi_t, kappa_t", [(1e-8, 300.0), (1e-3, 1e5)])
+@pytest.mark.parametrize("xi_t, kappa_t", [(1e-8, 300.0), (1e-3, 1e5),
+                                           (1e4, 1e4), (1e4, 1.5e4)])
 def test_imag_axis_r_s_free_of_cancellation(model, xi_t, kappa_t):
     # xi and kappa in units of omega_e and k_e, reached by the near-
     # contact ground-state integrals: the difference kappa - kappa_2
     # cancelled, Drude gold was 5.0e-6 off at (1e-8, 300) and 2.1e-6 at
-    # (1e-3, 1e5)
+    # (1e-3, 1e5); likewise eps kappa - kappa_2 where eps -> 1 at large
+    # xi, 1.5e-9 off at (1e4, 1e4) and 2.0e-10 at (1e4, 1.5e4)
     xi = xi_t * OMEGA_E
     kappa = kappa_t * OMEGA_E / sc.c
-    got = float(fresnel_imag_axis(model, kappa, xi).r_s)
-    ref = _r_s_imag_mpmath(model, kappa, xi)
-    assert abs(got - ref) <= 1e-13 * abs(ref)
+    pair = fresnel_imag_axis(model, kappa, xi)
+    ref_s, ref_p = _r_imag_mpmath(model, kappa, xi)
+    assert abs(float(pair.r_s) - ref_s) <= 1e-13 * abs(ref_s)
+    assert abs(float(pair.r_p) - ref_p) <= 1e-13 * abs(ref_p)
 
 
 @given(xi=st.floats(1e10, 1e18), kappa_factor=st.floats(1.0, 1e4))

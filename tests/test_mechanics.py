@@ -90,6 +90,13 @@ def test_pc_forces_use_closed_forms(component_calls):
     force_breakdown(p, PC, geo(p, 1.0), QUAD, finite_difference=True)
     assert component_calls == {"u_e_pc_closed": 2, "u_m_pc_closed": 2,
                                "u_m_static": 2}
+    component_calls.clear()
+    force_breakdown(p, PC, geo(p, 1.0), QUAD, mode="excited0")
+    assert component_calls == {"u_e_pc_closed": 1, "u_m0_pc_closed": 1}
+    component_calls.clear()
+    force_breakdown(p, PC, geo(p, 1.0), QUAD, mode="excited0",
+                    finite_difference=True)
+    assert component_calls == {"u_e_pc_closed": 2, "u_m0_pc_closed": 2}
 
 
 def test_excited_mode_breakdown():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magcp import Drude, Plasma, QuadratureConfig, build_particle, \
-    from_dimensionless, gravity_force_dimensionless, to_dimensionless
+    constants, from_dimensionless, gravity_force_dimensionless, \
+    to_dimensionless
 from magcp.params import EnvironmentSpec, Geometry, HierarchyViolation, \
     NonPositiveInput, SublevelOutOfRange, UnknownKind, eta_from_dipole, \
     gamma0_from_dipole
@@ -40,6 +41,17 @@ def test_gamma0_from_dipole_definition():
     expected = d**2 * k_e**3 / (3.0 * math.pi * sc.epsilon_0 * sc.hbar)
     assert gamma0_from_dipole(d, OMEGA_E) == pytest.approx(expected,
                                                            rel=1e-12)
+
+
+def test_constants_are_scipy_codata():
+    # written out in magcp.constants rather than imported from
+    # scipy.constants; these are the CODATA 2022 values scipy gives
+    assert (constants.c, constants.hbar, constants.e, constants.epsilon_0,
+            constants.fine_structure) == (sc.c, sc.hbar, sc.e, sc.epsilon_0,
+                                          sc.fine_structure)
+    assert constants.bohr_radius == sc.physical_constants["Bohr radius"][0]
+    assert constants.atomic_mass == \
+        sc.physical_constants["atomic mass constant"][0]
 
 
 def test_gamma0_override_and_hz_switch():

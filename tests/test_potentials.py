@@ -9,6 +9,7 @@ package quadrature engine.
 import cmath
 import itertools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from magcp import Drude, Geometry, IntegralResult, PerfectConductor, \
     Plasma, QuadratureConfig, potentials
+from magcp.mechanics import force_breakdown
 from magcp.potentials import (
     QuadratureFailure,
     _exp_e1,
@@ -25,6 +27,7 @@ from magcp.potentials import (
     _real_freq_integral,
     _resonant_j,
     _surface_pole,
+    component,
     decay_breakdown,
     delta_gamma_e,
     delta_gamma_m,
@@ -202,6 +205,12 @@ def test_pc_breakdown_uses_closed_forms(component_calls):
     bd = potential_breakdown(p, PC, g, QUAD)
     assert component_calls == {"u_e_pc_closed": 1, "u_m_pc_closed": 1,
                                "u_m_static": 1}
+    component_calls.clear()
+    bd0 = potential_breakdown(p, PC, g, QUAD, include_excited0=True)
+    assert component_calls == {"u_e_pc_closed": 1, "u_m_pc_closed": 1,
+                               "u_m_static": 1, "u_m0_pc_closed": 1}
+    assert bd0.u_m_excited0 == pytest.approx(
+        u_m_excited0(p, PC, g, QUAD)[0], rel=1e-7)
     # the closed forms agree with the double integrals they replace
     assert bd.u_e_minus == pytest.approx(u_e_ground(p, PC, g, QUAD)[0],
                                          rel=1e-9)
@@ -231,6 +240,144 @@ def test_pc_electric_monotone_and_negative(zt):
     v2, _ = u_e_pc_closed(p, geo(p, zt * 1.3), QUAD)
     assert v < 0.0
     assert v < v2  # attraction weakens with distance
+
+
+# ---------------------------------------------------------------------------
+# perfect-conductor closed forms against mpmath
+
+def _pc_kernel_mpmath(y):
+    """I(y) and I'(y) of the broadband kernel from mpmath's Si and Ci at
+    60 digits, which covers the y^3 cancellation of the identity."""
+    with mpmath.workdps(60):
+        y = mpmath.mpf(y)
+        si = mpmath.si(y) - mpmath.pi / 2
+        ci = mpmath.ci(y)
+        f = ci * mpmath.sin(y) - si * mpmath.cos(y)
+        g = -ci * mpmath.cos(y) - si * mpmath.sin(y)
+        return (1 - y * y) * f + y * g + y, y * (y * g - f)
+
+
+def _pc_closed_mpmath(pref, zt, w, deriv):
+    i, di = _pc_kernel_mpmath(2 * mpmath.mpf(zt) * w)
+    with mpmath.workdps(60):
+        zt = mpmath.mpf(zt)
+        if deriv:
+            return float(pref * (-3 * i / zt**4 + 2 * w * di / zt**3))
+        return float(pref * i / zt**3)
+
+
+@pytest.mark.parametrize("y", [0.2, 20.0, 2000.0])
+def test_pc_kernel_identity_matches_its_integral(y):
+    # the Si/Ci reference above against mpmath's quadrature of the
+    # defining integral, the kernel (1 + x + x^2) e^(-x) at x = y t
+    with mpmath.workdps(40):
+        ym = mpmath.mpf(y)
+        cuts = sorted({0, 1, mpmath.inf, *(2**k / ym for k in range(-2, 6))})
+        ref = mpmath.quad(lambda t: (1 + ym * t + (ym * t) ** 2)
+                          * mpmath.exp(-ym * t) / (1 + t * t), cuts)
+        ref_d = mpmath.quad(lambda t: (ym * t * t - ym**2 * t**3)
+                            * mpmath.exp(-ym * t) / (1 + t * t), cuts)
+        i, di = _pc_kernel_mpmath(y)
+        assert abs(i / ref - 1) < 1e-25
+        assert abs(di / ref_d - 1) < 1e-25
+
+
+PC_GRID = (1e-4, 1e-3, 0.1, 1.0, 10.0, 20.0, 30.0, 100.0, 1e3, 1e7)
+
+
+def _with_ratio(ratio):
+    """The test particle at omega_m/omega_e = ratio; ratio 1 lies outside
+    build_particle's hierarchy, so omega_tilde is set directly there."""
+    if ratio < 1.0:
+        return make_particle(omega_m=ratio * OMEGA_E)
+    return replace(make_particle(), omega_m=OMEGA_E, omega_tilde=1.0)
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+@pytest.mark.parametrize("ratio", [None, 1e-8, 1e-5, 1.0],
+                         ids=["electric", "m1e-8", "m1e-5", "m1"])
+def test_pc_closed_forms_against_mpmath(ratio, deriv):
+    # the grid straddles the switch to the asymptotic series at y = 40
+    p = _with_ratio(ratio or 1e-5)
+    for zt in PC_GRID:
+        g = geo(p, zt)
+        zt = g.z_tilde(p)
+        if ratio is None:
+            value, res = u_e_pc_closed(p, g, QUAD, deriv=deriv)
+            ref = _pc_closed_mpmath(-3.0 / (32.0 * math.pi), zt, 1.0, deriv)
+        else:
+            value, res = u_m_pc_closed(p, g, QUAD, deriv=deriv)
+            pref = 3.0 * p.eta * p.spin / (32.0 * math.pi)
+            ref = _pc_closed_mpmath(pref, zt, p.omega_tilde, deriv)
+        err = abs(value - ref)
+        assert res.converged and res.evaluations == 0
+        assert res.value == value
+        assert err <= 1e-10 * abs(ref), zt
+        assert 0.0 < res.error_estimate and err <= res.error_estimate, zt
+        # rounding is the only error, and the estimate is not far above it
+        assert res.error_estimate <= 1e-9 * abs(ref), zt
+
+
+def test_pc_magnetic_slope_converges_without_evaluations():
+    # the z-derivative was an adaptive integral that cancels to -6.3e-13
+    # here; with abs_tol near 0 it ran about 61k evaluations and reported
+    # converged=False although its error was 9e-12 of the value
+    p = make_particle(omega_m=1e-5 * OMEGA_E)
+    g = geo(p, 1e-3)
+    q = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=2000)
+    value, res = u_m_pc_closed(p, g, q, deriv=True)
+    assert res.converged and res.evaluations == 0
+    pref = 3.0 * p.eta * p.spin / (32.0 * math.pi)
+    ref = _pc_closed_mpmath(pref, g.z_tilde(p), p.omega_tilde, True)
+    assert abs(value - ref) <= res.error_estimate < 1e-13 * abs(ref)
+
+
+def _m0_pc_mpmath(p, zt, deriv):
+    with mpmath.workdps(40):
+        zt = mpmath.mpf(zt)
+        x = mpmath.mpf(p.omega_tilde) * zt
+        c2, s2 = mpmath.cos(2 * x), mpmath.sin(2 * x)
+        bracket = c2 + 2 * x * s2 - 4 * x * x * c2
+        pref = 3 * mpmath.mpf(p.eta) * p.spin * (p.spin + 1) / 64
+        if deriv:
+            slope = 8 * x * x * s2 - 4 * x * c2
+            return float(pref * (-3 * bracket / zt**4
+                                 + mpmath.mpf(p.omega_tilde) * slope / zt**3))
+        return float(pref * bracket / zt**3)
+
+
+@pytest.mark.parametrize("wzt", [1e-3, 0.3, 10.0, 300.0])
+def test_pc_excited0_slope(wzt):
+    p = make_particle(spin=3.0, m_s=0.0)
+    g = geo(p, wzt / p.omega_tilde)
+    zt = g.z_tilde(p)
+    for deriv in (False, True):
+        value, res = component("excited0", p, PC, g, QUAD, deriv=deriv)
+        assert value == u_m0_pc_closed(p, g, deriv=deriv)
+        assert res.converged and res.evaluations == 0
+        ref = _m0_pc_mpmath(p, zt, deriv)
+        assert abs(value - ref) <= res.error_estimate <= 1e-9 * abs(ref)
+    # the resonant real-frequency integral it replaces
+    tight = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
+    ref, res = u_m_excited0(p, PC, g, tight, deriv=True)
+    assert res.converged
+    assert u_m0_pc_closed(p, g, deriv=True) == pytest.approx(ref, rel=1e-9)
+
+
+def test_pc_components_run_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a perfect-conductor shift ran a quadrature")
+
+    for name in ("integrate_finite", "integrate_semi_infinite",
+                 "integrate_nested"):
+        monkeypatch.setattr(potentials, name, refuse)
+    p = make_particle(spin=10.0, m_s=0.0)
+    g = geo(p, 0.7)
+    for mode, fd in itertools.product(("ground", "excited0"), (False, True)):
+        assert force_breakdown(p, PC, g, QUAD, mode=mode,
+                               finite_difference=fd).converged
+    bd = potential_breakdown(p, PC, g, QUAD, include_excited0=True)
+    assert bd.converged and bd.u_m_excited0 == u_m0_pc_closed(p, g)
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +438,24 @@ def test_pole_add_back_matches_mpmath(swap, deriv, a_v0):
 
 
 def test_exp_e1_matches_mpmath_below_the_cut():
-    for r in np.logspace(-8, 4, 25):
-        for arg in np.linspace(-math.pi, 0.0, 13):
-            z = cmath.rect(r, arg)
-            if arg == -math.pi:
-                z = complex(-r, 0.0)
-            got = _exp_e1(z)
-            assert cmath.isfinite(got), z
-            with mpmath.workdps(30):
-                zm = mpmath.mpc(z.real, z.imag)
-                ref = complex(mpmath.exp(zm) * mpmath.expint(1, zm))
-            if z.imag == 0.0 and z.real < 0.0:
-                ref = ref.conjugate()   # mpmath takes the upper side
-            assert abs(got - ref) <= 1e-13 * abs(ref), z
+    grid = [cmath.rect(r, arg) if arg > -math.pi else complex(-r, 0.0)
+            for r in np.logspace(-8, 4, 25)
+            for arg in np.linspace(-math.pi, 0.0, 13)]
+    # both sides of the switch from the power series to the continued
+    # fraction at |z| + Re z = 3, out to |z| = 40
+    for r in np.linspace(1.5, 40.0, 40):
+        for s in (2.999, 3.0):
+            z = complex(s - r, -math.sqrt(r * r - (s - r) ** 2))
+            grid += [z, z.conjugate()]
+    for z in grid:
+        got = _exp_e1(z)
+        assert cmath.isfinite(got), z
+        with mpmath.workdps(30):
+            zm = mpmath.mpc(z.real, z.imag)
+            ref = complex(mpmath.exp(zm) * mpmath.expint(1, zm))
+        if z.imag == 0.0 and z.real < 0.0:
+            ref = ref.conjugate()   # mpmath takes the upper side
+        assert abs(got - ref) <= 1e-13 * abs(ref), z
 
 
 def test_plasma_decay_converges_across_the_grid():
