@@ -1,11 +1,11 @@
 """Dielectric response models and Fresnel reflection coefficients.
 
 Three surface response models are supported: a perfect conductor, a Drude
-metal and a dissipationless plasma.  Reflection coefficients are provided
-on the imaginary frequency axis (where they are real), in the static
-xi -> 0 limit (handled analytically per model, the Drude limit being a
-removable zero) and at real frequency (complex, with the propagating and
-evanescent sectors on fixed branches).  Permeability is fixed at mu = 1.
+metal and a dissipationless plasma, each a _susceptibility.  One kernel,
+_fresnel, gives the reflection coefficients on the imaginary axis (where
+they are real), in the static xi -> 0 limit and at real frequency
+(complex, with the propagating and evanescent sectors on fixed
+branches); the perfect conductor keeps its exact +-1.  mu = 1.
 
 Branch conventions at real frequency omega: for k_par < omega/c the
 perpendicular decay constant is kappa_perp = -i*sqrt(omega^2/c^2 - k_par^2)
@@ -16,7 +16,6 @@ medium kappa_2 takes the principal complex square root (Re >= 0).
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as sc
-
-log = logging.getLogger(__name__)
 
 
 class NegativeFrequency(ValueError):
@@ -80,61 +77,59 @@ class FresnelPair:
     r_p: complex
 
 
-def _susceptibility_imag_axis(model: SurfaceModel, xi):
-    """eps(i*xi) - 1 >= 0, formed without the rounding of 1 + (eps - 1),
-    which is all of eps - 1 where eps -> 1 at large xi; PerfectConductor
-    returns +inf."""
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
-        raise NegativeFrequency(f"xi must be >= 0, got {xi}")
+def _susceptibility(model: SurfaceModel, s):
+    """chi = eps - 1 at s = xi on the imaginary axis or s = -i*omega at
+    real frequency, formed without the rounding of 1 + (eps - 1), which
+    is all of eps - 1 where eps -> 1 at large xi.  PerfectConductor
+    returns +inf; xi = 0 divides by zero."""
     if isinstance(model, PerfectConductor):
-        return np.full_like(xi, np.inf)
+        return np.full_like(s, np.inf)
     if isinstance(model, Drude):
-        with np.errstate(divide="ignore"):
-            return model.omega_p**2 / (xi**2 + model.gamma * xi)
+        return model.omega_p**2 / (s**2 + model.gamma * s)
     if isinstance(model, Plasma):
-        with np.errstate(divide="ignore"):
-            return model.omega_p**2 / xi**2
+        return model.omega_p**2 / s**2
     raise TypeError(f"unknown surface model {model!r}")
 
 
 def permittivity_imag_axis(model: SurfaceModel, xi):
     """Real epsilon(i*xi) >= 1; PerfectConductor returns +inf."""
-    return 1.0 + _susceptibility_imag_axis(model, xi)
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi < 0):
+        raise NegativeFrequency(f"xi must be >= 0, got {xi}")
+    with np.errstate(divide="ignore"):
+        return 1.0 + _susceptibility(model, xi)
 
 
 def permittivity_real_freq(model: SurfaceModel, omega: float) -> complex:
     """Analytic continuation of the imaginary-axis permittivity."""
     if omega <= 0:
         raise NegativeFrequency(f"omega must be positive, got {omega}")
-    if isinstance(model, PerfectConductor):
-        return complex(np.inf)
-    if isinstance(model, Drude):
-        return 1.0 - model.omega_p**2 / (omega**2 + 1j * model.gamma * omega)
-    if isinstance(model, Plasma):
-        return 1.0 - model.omega_p**2 / omega**2
-    raise TypeError(f"unknown surface model {model!r}")
+    return 1.0 + _susceptibility(model, -1j * omega)
 
 
-def _fresnel_from_chi(chi, kappa_perp, xi_over_c_sq):
-    """r_s, r_p on the imaginary axis from chi = eps(i*xi) - 1 and the
-    vacuum kappa_perp, with kappa_2^2 = kappa_perp^2 + chi*xi^2/c^2.
+def _fresnel(chi, kappa_perp, contrast, kappa_2, den_can_vanish=False):
+    """r_s, r_p from chi = eps - 1, the vacuum kappa_perp, the contrast
+    kappa_2^2 - kappa_perp^2 = chi*s^2/c^2 and kappa_2, at any frequency.
 
     Both numerators cancel where the medium barely differs from vacuum,
-    so each is written through kappa_perp - kappa_2 =
-    -chi*xi^2/c^2/(kappa_perp + kappa_2): r_s as
-    -chi*xi^2/c^2/(kappa_perp + kappa_2)^2, and r_p, whose numerator
-    eps*kappa_perp - kappa_2 cancels where eps -> 1 at large xi, as
-    (chi*kappa_perp - chi*xi^2/c^2/(kappa_perp + kappa_2))
-    /(chi*kappa_perp + kappa_perp + kappa_2).  kappa_perp >= xi/c keeps
-    the subtracted term below half of chi*kappa_perp."""
-    contrast = chi * xi_over_c_sq
-    kappa_2 = np.sqrt(kappa_perp**2 + contrast)
+    so each is written through kappa_perp - kappa_2 = -contrast/total,
+    total = kappa_perp + kappa_2: r_s = -contrast/total^2 and
+    r_p = (chi*kappa_perp - contrast/total)/(chi*kappa_perp + total),
+    where kappa_perp >= xi/c on the imaginary axis keeps contrast/total
+    below half of chi*kappa_perp.  Undefined at chi = inf.  The r_p
+    denominator vanishes only at real frequency, at eps = 0 and normal
+    incidence (r_p -> -1) or on a node at the lossless plasmon pole;
+    den_can_vanish gives those elements r_p = -1 without dividing by 0.
+    """
     total = kappa_perp + kappa_2
     r_s = -contrast / total**2
     chi_kappa = chi * kappa_perp
-    r_p = (chi_kappa - contrast / total) / (chi_kappa + total)
-    return r_s, r_p
+    num_p = chi_kappa - contrast / total
+    den_p = chi_kappa + total
+    if not den_can_vanish:
+        return r_s, num_p / den_p
+    zero = den_p == 0
+    return r_s, np.where(zero, -1.0, num_p / np.where(zero, 1.0, den_p))
 
 
 def fresnel_imag_axis(model: SurfaceModel, kappa_perp, xi) -> FresnelPair:
@@ -157,9 +152,12 @@ def fresnel_imag_axis(model: SurfaceModel, kappa_perp, xi) -> FresnelPair:
         ones = np.ones(np.broadcast_shapes(kappa_perp.shape, xi.shape))
         r_s, r_p = -ones, ones
     else:
-        chi = _susceptibility_imag_axis(model, xi)
-        with np.errstate(invalid="ignore"):  # chi = inf where xi = 0
-            r_s, r_p = _fresnel_from_chi(chi, kappa_perp, (xi / sc.c) ** 2)
+        # chi = inf where xi = 0; those elements take the static limit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chi = _susceptibility(model, xi)
+            contrast = chi * (xi / sc.c) ** 2
+            r_s, r_p = _fresnel(chi, kappa_perp, contrast,
+                                np.sqrt(kappa_perp**2 + contrast))
     if np.any(static):
         limit = fresnel_static_limit(model, kappa_perp)
         r_s = np.where(static, limit.r_s, r_s)
@@ -170,8 +168,9 @@ def fresnel_imag_axis(model: SurfaceModel, kappa_perp, xi) -> FresnelPair:
 def fresnel_static_limit(model: SurfaceModel, kappa_perp) -> FresnelPair:
     """xi -> 0 limit; r_p = +1 for every conducting model.
 
-    r_s distinguishes the models: -1 (perfect conductor), 0 (Drude, the
-    relaxation term kills the response) or the finite plasma value.
+    r_s distinguishes the models: -1 (perfect conductor), or _fresnel's
+    with the limit of the contrast chi*xi^2/c^2: 0 for Drude, whose
+    relaxation term kills the response, and omega_p^2/c^2 for the plasma.
     """
     kappa_perp = np.asarray(kappa_perp, dtype=float)
     if np.any(kappa_perp <= 0):
@@ -180,11 +179,15 @@ def fresnel_static_limit(model: SurfaceModel, kappa_perp) -> FresnelPair:
     if isinstance(model, PerfectConductor):
         return FresnelPair(-ones, ones)
     if isinstance(model, Drude):
-        return FresnelPair(np.zeros_like(kappa_perp), ones)
-    if isinstance(model, Plasma):
-        root = np.sqrt(kappa_perp**2 + (model.omega_p / sc.c) ** 2)
-        return FresnelPair((kappa_perp - root) / (kappa_perp + root), ones)
-    raise TypeError(f"unknown surface model {model!r}")
+        contrast = 0.0
+    elif isinstance(model, Plasma):
+        contrast = (model.omega_p / sc.c) ** 2
+    else:
+        raise TypeError(f"unknown surface model {model!r}")
+    with np.errstate(invalid="ignore"):  # r_p is inf/inf at chi = inf
+        r_s, _ = _fresnel(np.inf, kappa_perp, contrast,
+                          np.sqrt(kappa_perp**2 + contrast))
+    return FresnelPair(r_s, ones)
 
 
 def fresnel_real_freq_from_kappa(model: SurfaceModel, kappa_perp,
@@ -199,27 +202,23 @@ def fresnel_real_freq_from_kappa(model: SurfaceModel, kappa_perp,
     (Re >= 0) is correct for lossy media; on the negative real axis
     (transparent medium below the light line in the medium) the
     outgoing-wave branch -i*sqrt(|.|) is taken, matching the gamma -> 0
-    limit of the Drude model from below the real axis.  r_s is taken as
-    (eps - 1)(omega/c)^2/(kappa_perp + kappa_2)^2, equal to
-    (kappa_perp - kappa_2)/(kappa_perp + kappa_2) on either branch of
-    kappa_2 and free of its cancellation at large kappa_perp.
+    limit of the Drude model from below the real axis.  The forms of
+    _fresnel hold on either branch of kappa_2.
     """
     if isinstance(model, PerfectConductor):
         shape = np.shape(np.asarray(kappa_perp))
         ones = np.ones(shape) if shape else 1.0
         return FresnelPair(-ones, ones)
-    eps = permittivity_real_freq(model, omega)
+    if omega <= 0:
+        raise NegativeFrequency(f"omega must be positive, got {omega}")
+    chi = _susceptibility(model, -1j * omega)
+    contrast = -chi * (omega / sc.c) ** 2
     kappa_perp = np.asarray(kappa_perp, dtype=complex)
-    contrast = (eps - 1.0) * (omega / sc.c) ** 2
-    w = np.asarray(kappa_perp**2 - contrast, dtype=complex)
+    w = np.asarray(kappa_perp**2 + contrast, dtype=complex)
     neg_real = (w.imag == 0) & (w.real < 0)
     kappa_2 = np.where(neg_real,
                        -1j * np.sqrt(np.abs(w.real)),
                        np.sqrt(np.where(neg_real, 1.0, w)))
-    # kappa_perp^2 - kappa_2^2 = contrast
-    r_s = contrast / (kappa_perp + kappa_2) ** 2
-    den_p = eps * kappa_perp + kappa_2
-    # eps = 0 with k_par = 0 makes den_p vanish; the limit of r_p is -1.
-    safe = np.where(den_p == 0, 1.0, den_p)
-    r_p = np.where(den_p == 0, -1.0, (eps * kappa_perp - kappa_2) / safe)
+    r_s, r_p = _fresnel(chi, kappa_perp, contrast, kappa_2,
+                        den_can_vanish=True)
     return FresnelPair(r_s, r_p)

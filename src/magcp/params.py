@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import constants as sc
 
@@ -46,38 +46,67 @@ class UnknownKind(ValueError):
 class ParticleSpec:
     """Point particle with one electric-dipole transition and a large spin.
 
-    Frequencies are angular (rad/s); ``dipole_moment`` is in C*m.  Derived
-    quantities are populated by :func:`build_particle`.
+    Frequencies are angular (rad/s); ``dipole_moment`` is in C*m.  The
+    constructor validates its inputs, resolves ``m_s=None`` to the
+    stretched sublevel -spin and ``gamma_0_free=None`` to the dipole's
+    free-space rate, and derives ``eta``, ``omega_tilde`` and ``k_e``.
     """
 
     omega_e: float
     omega_m: float
     dipole_moment: float
     spin: float
-    m_s: float = field(default=0.0)
+    m_s: float | None = None
     mass_per_spin: float = M_U
     gyro_ratio: float = GYRO_ELECTRON
-    gamma_0_free: float = 0.0   # ED free-space emission rate, rad/s
-    eta: float = 0.0            # magnetizability-to-polarizability ratio
-    omega_tilde: float = 0.0    # omega_m / omega_e
-    k_e: float = 0.0            # omega_e / c, 1/m
+    gamma_0_free: float | None = None  # ED free-space emission rate, rad/s
+    eta: float = field(init=False)  # magnetizability-to-polarizability ratio
+    omega_tilde: float = field(init=False)  # omega_m / omega_e
+    k_e: float = field(init=False)  # omega_e / c, 1/m
+
+    def __post_init__(self) -> None:
+        for name in ("omega_e", "omega_m", "dipole_moment", "mass_per_spin",
+                     "gyro_ratio"):
+            val = getattr(self, name)
+            if not 0 < val < math.inf:
+                raise NonPositiveInput(
+                    f"{name} must be positive and finite, got {val}")
+        if not 0 <= self.spin < math.inf:
+            raise NonPositiveInput(
+                f"spin must be finite and >= 0, got {self.spin}")
+        if self.omega_m >= self.omega_e:
+            raise HierarchyViolation(
+                f"omega_m = {self.omega_m} >= omega_e = {self.omega_e}; the "
+                "intermediate distance regime needs omega_m << omega_e")
+        m_s = -self.spin if self.m_s is None else self.m_s
+        if not abs(m_s) <= self.spin + 1e-12:
+            raise SublevelOutOfRange(
+                f"|m_s| = {abs(m_s)} exceeds spin = {self.spin}")
+        derived_gamma0 = gamma0_from_dipole(self.dipole_moment, self.omega_e)
+        gamma_0 = self.gamma_0_free
+        if gamma_0 is None:
+            gamma_0 = derived_gamma0
+        elif not 0 < gamma_0 < math.inf:
+            raise NonPositiveInput(
+                f"gamma_0 must be positive and finite, got {gamma_0}")
+        elif abs(gamma_0 - derived_gamma0) / derived_gamma0 > 0.05:
+            log.info("supplied Gamma0 = %.4g rad/s overrides dipole-derived "
+                     "%.4g rad/s", gamma_0, derived_gamma0)
+        for name, val in (
+                ("m_s", m_s), ("gamma_0_free", gamma_0),
+                ("eta", eta_from_dipole(self.dipole_moment, self.gyro_ratio)),
+                ("omega_tilde", self.omega_m / self.omega_e),
+                ("k_e", self.omega_e / sc.c)):
+            object.__setattr__(self, name, val)
 
     @property
     def mass(self) -> float:
         return self.spin * self.mass_per_spin
 
     def with_spin(self, spin: float, m_s: float | None = None) -> "ParticleSpec":
-        """Same particle with a different spin (used by threshold solving)."""
-        return build_particle(
-            omega_e=self.omega_e,
-            omega_m=self.omega_m,
-            dipole_moment=self.dipole_moment,
-            spin=spin,
-            m_s=-spin if m_s is None else m_s,
-            mass_per_spin=self.mass_per_spin,
-            gyro_ratio=self.gyro_ratio,
-            gamma_0=self.gamma_0_free,
-        )
+        """Same particle with a different spin (used by threshold solving);
+        m_s=None is the stretched sublevel -spin."""
+        return replace(self, spin=spin, m_s=m_s)
 
 
 @dataclass(frozen=True)
@@ -129,7 +158,7 @@ def build_particle(
     gamma_0: float | None = None,
     gamma_0_in_hz: bool = False,
 ) -> ParticleSpec:
-    """Validate raw inputs and populate all derived quantities.
+    """A ParticleSpec from inputs in the units a source quotes.
 
     The dipole moment is given either in SI (``dipole_moment``, C*m) or in
     atomic units of e*a0 (``dipole_moment_au``).  ``gamma_0``, when supplied,
@@ -141,92 +170,35 @@ def build_particle(
         raise ValueError("give exactly one of dipole_moment, dipole_moment_au")
     if dipole_moment is None:
         dipole_moment = dipole_moment_au * E_A0
-    for name, val in [
-        ("omega_e", omega_e),
-        ("omega_m", omega_m),
-        ("dipole_moment", dipole_moment),
-        ("mass_per_spin", mass_per_spin),
-        ("gyro_ratio", gyro_ratio),
-    ]:
-        if not 0 < val < math.inf:
-            raise NonPositiveInput(
-                f"{name} must be positive and finite, got {val}")
-    if not 0 <= spin < math.inf:
-        raise NonPositiveInput(f"spin must be finite and >= 0, got {spin}")
-    if omega_m >= omega_e:
-        raise HierarchyViolation(
-            f"omega_m = {omega_m} >= omega_e = {omega_e}; the intermediate "
-            "distance regime needs omega_m << omega_e"
-        )
-    if m_s is None:
-        m_s = -spin
-    if not abs(m_s) <= spin + 1e-12:
-        raise SublevelOutOfRange(f"|m_s| = {abs(m_s)} exceeds spin = {spin}")
-
-    derived_gamma0 = gamma0_from_dipole(dipole_moment, omega_e)
-    if gamma_0 is not None:
-        if not 0 < gamma_0 < math.inf:
-            raise NonPositiveInput(
-                f"gamma_0 must be positive and finite, got {gamma_0}")
-        if gamma_0_in_hz:
-            gamma_0 = 2 * math.pi * gamma_0
-        if abs(gamma_0 - derived_gamma0) / derived_gamma0 > 0.05:
-            log.info(
-                "supplied Gamma0 = %.4g rad/s overrides dipole-derived %.4g rad/s",
-                gamma_0,
-                derived_gamma0,
-            )
-    else:
-        gamma_0 = derived_gamma0
-
-    return ParticleSpec(
-        omega_e=omega_e,
-        omega_m=omega_m,
-        dipole_moment=dipole_moment,
-        spin=spin,
-        m_s=m_s,
-        mass_per_spin=mass_per_spin,
-        gyro_ratio=gyro_ratio,
-        gamma_0_free=gamma_0,
-        eta=eta_from_dipole(dipole_moment, gyro_ratio),
-        omega_tilde=omega_m / omega_e,
-        k_e=omega_e / sc.c,
-    )
+    if gamma_0 is not None and gamma_0_in_hz:
+        gamma_0 = 2 * math.pi * gamma_0
+    return ParticleSpec(omega_e, omega_m, dipole_moment, spin, m_s,
+                        mass_per_spin, gyro_ratio, gamma_0)
 
 
-_KINDS = ("potential", "force", "distance", "frequency")
+def _unit(particle: ParticleSpec, kind: str) -> float:
+    """SI size of one dimensionless unit: hbar Gamma0 (potential),
+    hbar Gamma0 k_e (force), 1/k_e (distance), omega_e (frequency)."""
+    energy = sc.hbar * particle.gamma_0_free
+    sizes = {"potential": energy, "force": energy * particle.k_e,
+             "distance": 1.0 / particle.k_e, "frequency": particle.omega_e}
+    if kind not in sizes:
+        raise UnknownKind(f"kind must be one of {tuple(sizes)}, got {kind!r}")
+    return sizes[kind]
 
 
 def to_dimensionless(particle: ParticleSpec, quantity: float, kind: str) -> float:
     """SI -> dimensionless: U/(hbar Gamma0), F/(hbar Gamma0 k_e), z*k_e, w/w_e."""
-    if kind == "potential":
-        return quantity / (sc.hbar * particle.gamma_0_free)
-    if kind == "force":
-        return quantity / (sc.hbar * particle.gamma_0_free * particle.k_e)
-    if kind == "distance":
-        return quantity * particle.k_e
-    if kind == "frequency":
-        return quantity / particle.omega_e
-    raise UnknownKind(f"kind must be one of {_KINDS}, got {kind!r}")
+    return quantity / _unit(particle, kind)
 
 
 def from_dimensionless(particle: ParticleSpec, quantity: float, kind: str) -> float:
     """Inverse of :func:`to_dimensionless`."""
-    if kind == "potential":
-        return quantity * sc.hbar * particle.gamma_0_free
-    if kind == "force":
-        return quantity * sc.hbar * particle.gamma_0_free * particle.k_e
-    if kind == "distance":
-        return quantity / particle.k_e
-    if kind == "frequency":
-        return quantity * particle.omega_e
-    raise UnknownKind(f"kind must be one of {_KINDS}, got {kind!r}")
+    return quantity * _unit(particle, kind)
 
 
 def gravity_force_dimensionless(
     particle: ParticleSpec, environment: EnvironmentSpec
 ) -> float:
     """-M g / (hbar Gamma0 k_e) with M = spin * mass_per_spin."""
-    return -particle.mass * environment.g / (
-        sc.hbar * particle.gamma_0_free * particle.k_e
-    )
+    return -particle.mass * environment.g / _unit(particle, "force")

@@ -417,17 +417,17 @@ def _surface_pole(surface: SurfaceModel, omega: float,
     return v0, c * (-v0) ** deriv
 
 
-def _real_freq_integral(surface: SurfaceModel, omega: float, k_omega: float,
-                        a: float, swap_polarizations: bool,
-                        quad: QuadratureConfig,
+def _real_freq_integral(surface: SurfaceModel, omega: float, a: float,
+                        swap_polarizations: bool, quad: QuadratureConfig,
                         deriv: int = 0) -> IntegralResult:
     """J = int_0^inf dx (x/K) e^(-a*K) [r_A + r_B K^2] at real frequency.
 
-    x = k_par/k_omega, K = kappa_perp/k_omega.  (r_A, r_B) = (r_p, r_s)
-    for the magnetic case, swapped for the electric one.  The propagating
-    sector is substituted with u = sqrt(1 - x^2) (kappa_perp = -i*u*k_omega),
-    which cancels the 1/K endpoint factor and leaves the analytic phase
-    exp(i*a*u); the evanescent sector is parametrized by v = K directly.
+    x = k_par/k_omega, K = kappa_perp/k_omega with k_omega = omega/c.
+    (r_A, r_B) = (r_p, r_s) for the magnetic case, swapped for the
+    electric one.  The propagating sector is substituted with
+    u = sqrt(1 - x^2) (kappa_perp = -i*u*k_omega), which cancels the 1/K
+    endpoint factor and leaves the analytic phase exp(i*a*u); the
+    evanescent sector is parametrized by v = K directly.
     ``deriv`` multiplies the integrand by (-K)^deriv, the z-derivative of
     the exponential in units of 2*k_omega per order.
 
@@ -452,6 +452,8 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, k_omega: float,
     pi C e^(-a v0) is the surface-plasmon emission channel.  The scaled
     _exp_e1 keeps the add-back finite where e^(-a v0) underflows.
     """
+    k_omega = omega / sc.c
+
     def propagating(u: np.ndarray) -> np.ndarray:
         pair = fresnel_real_freq_from_kappa(surface, -1j * u * k_omega, omega)
         r_a, r_b = (pair.r_s, pair.r_p) if swap_polarizations else (pair.r_p, pair.r_s)
@@ -501,9 +503,8 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, k_omega: float,
 def _resonant_j(particle: ParticleSpec, surface: SurfaceModel,
                 geometry: Geometry, quad: QuadratureConfig,
                 deriv: int = 0) -> IntegralResult:
-    k_m = particle.omega_m / sc.c
     a = 2.0 * particle.omega_tilde * geometry.z_tilde(particle)
-    return _real_freq_integral(surface, particle.omega_m, k_m, a,
+    return _real_freq_integral(surface, particle.omega_m, a,
                                swap_polarizations=False, quad=quad,
                                deriv=deriv)
 
@@ -593,7 +594,7 @@ def delta_gamma_e(particle: ParticleSpec, surface: SurfaceModel,
     oscillatory 1/z envelope far away.
     """
     a = 2.0 * geometry.z_tilde(particle)
-    res = _real_freq_integral(surface, particle.omega_e, particle.k_e, a,
+    res = _real_freq_integral(surface, particle.omega_e, a,
                               swap_polarizations=True, quad=quad)
     return _finish(0.75 * res.value.imag, res, "ED rate correction", strict)
 

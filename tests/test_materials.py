@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.constants as sc
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magcp.materials import (
@@ -22,11 +22,12 @@ from magcp.materials import (
     permittivity_real_freq,
 )
 
-from conftest import OMEGA_E
+from conftest import OMEGA_E, make_particle, resonant_drude
 
 GOLD = Drude(omega_p=1.36e16, gamma=1.0e14)
 PLASMA = Plasma(omega_p=1.36e16)
 PC = PerfectConductor()
+RESONANT = resonant_drude(make_particle())
 
 
 def kappa_perp(k_par, w):
@@ -134,6 +135,16 @@ def test_static_limits_distinguish_models():
     k2 = math.sqrt(kappa**2 + (PLASMA.omega_p / sc.c) ** 2)
     assert fresnel_static_limit(PLASMA, kappa).r_s == pytest.approx(
         (kappa - k2) / (kappa + k2), rel=1e-14)
+    # against 50 digits; the difference form (kappa - k2)/(kappa + k2)
+    # was 1.4e-10, 2.8e-6 and 1.2e-4 off at kappa/k_p = 1e3, 1e5 and 1e6
+    k_p = PLASMA.omega_p / sc.c
+    for ratio in (10.0, 1e3, 1e5, 1e6):
+        got = float(fresnel_static_limit(PLASMA, ratio * k_p).r_s)
+        with mpmath.workdps(50):
+            k = mpmath.mpf(ratio * k_p)
+            k2 = mpmath.sqrt(k**2 + mpmath.mpf(k_p) ** 2)
+            ref = float((k - k2) / (k + k2))
+        assert abs(got - ref) <= 1e-14 * abs(ref), ratio
 
 
 def test_drude_to_plasma_degeneracy():
@@ -262,6 +273,64 @@ def test_imag_axis_r_s_free_of_cancellation(model, xi_t, kappa_t):
     ref_s, ref_p = _r_imag_mpmath(model, kappa, xi)
     assert abs(float(pair.r_s) - ref_s) <= 1e-13 * abs(ref_s)
     assert abs(float(pair.r_p) - ref_p) <= 1e-13 * abs(ref_p)
+
+
+def _fresnel_textbook(model, kappa, s, static=False):
+    """r_s = (kappa - kappa_2)/(kappa + kappa_2) and r_p = (eps kappa -
+    kappa_2)/(eps kappa + kappa_2) at 50 digits, for s = xi on the
+    imaginary axis or s = -i omega at real frequency, with kappa_2^2 =
+    kappa^2 + chi s^2/c^2 on the outgoing branch; static takes the
+    xi -> 0 limit of chi s^2, omega_p^2 for the plasma and 0 for Drude."""
+    with mpmath.workdps(50):
+        s, k = mpmath.mpmathify(s), mpmath.mpmathify(kappa)
+        gamma = model.gamma if isinstance(model, Drude) else 0
+        if static:
+            chi_s2 = 0 if gamma else mpmath.mpf(model.omega_p) ** 2
+        else:
+            chi = mpmath.mpf(model.omega_p) ** 2 / (s**2 + gamma * s)
+            chi_s2 = chi * s**2
+        w = k**2 + chi_s2 / mpmath.mpf(sc.c) ** 2
+        if mpmath.im(w) == 0 and mpmath.re(w) < 0:
+            k2 = -1j * mpmath.sqrt(-mpmath.re(w))
+        else:
+            k2 = mpmath.sqrt(w)
+        r_s = complex((k - k2) / (k + k2))
+        if static:
+            return r_s, 1.0
+        eps = 1 + chi
+        return r_s, complex((eps * k - k2) / (eps * k + k2))
+
+
+@given(model=st.sampled_from([GOLD, PLASMA, RESONANT]),
+       sector=st.sampled_from(["imag", "propagating", "evanescent",
+                               "static"]),
+       log_w=st.floats(-8.0, 4.0), log_k=st.floats(-3.0, 8.0))
+@settings(max_examples=150, deadline=None)
+def test_fresnel_kernel_matches_textbook_forms(model, sector, log_w, log_k):
+    # one kernel serves every frequency; it must agree with the textbook
+    # quotients wherever those are well conditioned.  Next to the
+    # plasmon pole (|r_p| > 1e3) r_p is ill-conditioned by nature.
+    w = 10.0**log_w * OMEGA_E
+    k = w / sc.c
+    ratio = 10.0**log_k
+    if sector == "imag":
+        kappa = (1.0 + ratio) * k
+        pair = fresnel_imag_axis(model, kappa, w)
+        ref = _fresnel_textbook(model, kappa, w)
+    elif sector == "static":
+        kappa = ratio * k
+        pair = fresnel_static_limit(model, kappa)
+        ref = _fresnel_textbook(model, kappa, 0, static=True)
+    else:
+        if sector == "propagating":
+            kappa = -1j * 10.0 ** (-3.0 * (log_k + 3.0) / 11.0) * k
+        else:
+            kappa = ratio * k
+        pair = fresnel_real_freq_from_kappa(model, kappa, w)
+        ref = _fresnel_textbook(model, kappa, -1j * w)
+    assume(abs(ref[1]) <= 1e3)
+    for got, want in zip((pair.r_s, pair.r_p), ref):
+        assert abs(complex(got) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @given(xi=st.floats(1e10, 1e18), kappa_factor=st.floats(1.0, 1e4))

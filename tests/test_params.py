@@ -1,5 +1,6 @@
 """Parameter construction, unit conversion and invariant checks."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,12 +8,12 @@ import scipy.constants as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magcp import Drude, Plasma, QuadratureConfig, build_particle, \
-    constants, from_dimensionless, gravity_force_dimensionless, \
-    to_dimensionless
-from magcp.params import EnvironmentSpec, Geometry, HierarchyViolation, \
-    NonPositiveInput, SublevelOutOfRange, UnknownKind, eta_from_dipole, \
-    gamma0_from_dipole
+from magcp import Drude, ParticleSpec, Plasma, QuadratureConfig, \
+    build_particle, constants, from_dimensionless, \
+    gravity_force_dimensionless, to_dimensionless
+from magcp.params import E_A0, EnvironmentSpec, Geometry, \
+    HierarchyViolation, NonPositiveInput, SublevelOutOfRange, UnknownKind, \
+    eta_from_dipole, gamma0_from_dipole
 
 from conftest import OMEGA_E, OMEGA_M, make_particle
 
@@ -126,6 +127,53 @@ def test_non_finite_inputs_rejected(field, value):
     build, error = NON_FINITE_FIELDS[field]
     with pytest.raises(error):
         build(value)
+
+
+BASE = {"omega_e": OMEGA_E, "omega_m": OMEGA_M, "spin": 3.0,
+        "dipole_moment": 0.5 * E_A0}
+
+
+@pytest.mark.parametrize("over", [{}, {"m_s": 2.0}, {"gamma_0_free": 1.8e7},
+                                  {"mass_per_spin": 1e-26, "gyro_ratio": 1e11}])
+def test_particle_spec_derives_what_build_particle_did(over):
+    spec = ParticleSpec(**BASE, **over)
+    built = build_particle(**BASE, **{("gamma_0" if k == "gamma_0_free"
+                                       else k): v for k, v in over.items()})
+    for f in dataclasses.fields(ParticleSpec):
+        assert getattr(spec, f.name) == getattr(built, f.name), f.name
+    assert spec.m_s == over.get("m_s", -3.0)
+    assert spec.gamma_0_free == over.get(
+        "gamma_0_free", gamma0_from_dipole(BASE["dipole_moment"], OMEGA_E))
+
+
+REFUSED = [(name, value)
+           for name in ("omega_e", "omega_m", "dipole_moment", "spin", "m_s",
+                        "mass_per_spin", "gyro_ratio", "gamma_0_free")
+           for value in (math.nan, math.inf, -math.inf, -4.0)] \
+    + [("omega_m", 2.0 * OMEGA_E), ("m_s", 3.5)]
+
+
+@pytest.mark.parametrize("name, value", REFUSED)
+def test_particle_spec_refuses_what_build_particle_refuses(name, value):
+    arg = "gamma_0" if name == "gamma_0_free" else name
+    with pytest.raises(ValueError) as built:
+        build_particle(**{**BASE, arg: value})
+    with pytest.raises(ValueError) as spec:
+        ParticleSpec(**{**BASE, name: value})
+    assert spec.type is built.type
+
+
+@pytest.mark.parametrize("name", ["eta", "omega_tilde", "k_e"])
+def test_particle_spec_derived_fields_not_settable(name):
+    with pytest.raises(TypeError):
+        ParticleSpec(**BASE, **{name: 1.0})
+
+
+def test_with_spin_keeps_gamma0_and_takes_stretched_sublevel():
+    p = make_particle(spin=100.0, m_s=7.0)
+    q = p.with_spin(1.0)
+    assert q.gamma_0_free == p.gamma_0_free == 1.8e7
+    assert q.spin == 1.0 and q.m_s == -1.0
 
 
 def test_mass_scales_with_spin():

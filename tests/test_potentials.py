@@ -9,7 +9,6 @@ package quadrature engine.
 import cmath
 import itertools
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -24,6 +23,7 @@ from magcp.potentials import (
     QuadratureFailure,
     _exp_e1,
     _ladder,
+    _pc_closed,
     _real_freq_integral,
     _resonant_j,
     _surface_pole,
@@ -126,6 +126,38 @@ def test_static_image_values_by_model():
     v_plasma, res = u_m_static(p, PLASMA, g, QUAD)
     assert res.converged
     assert 0.0 < v_plasma < v_pc
+
+
+def _static_integral_mpmath(zt, deriv):
+    """int_0^inf k^2 e^(-2 k z) r_s(k) (-2 k)^deriv dk for plasma gold in
+    k_e units, with r_s = -k_p^2/(k + sqrt(k^2 + k_p^2))^2, 30 digits."""
+    with mpmath.workdps(30):
+        z, k_p = mpmath.mpf(zt), mpmath.mpf(PLASMA.omega_p / OMEGA_E)
+
+        def f(k):
+            r_s = -k_p**2 / (k + mpmath.sqrt(k * k + k_p**2)) ** 2
+            return k * k * mpmath.exp(-2 * k * z) * r_s * (-2 * k) ** deriv
+
+        cuts = sorted({0, mpmath.inf, k_p / 4, k_p, 4 * k_p,
+                       *(4**j / (2 * z) for j in range(-1, 3))})
+        return mpmath.quad(f, cuts)
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+@pytest.mark.parametrize("zt", [1e-5, 1e-4, 1e-3])
+def test_plasma_static_image_within_its_estimate(zt, deriv):
+    # the static r_s was (k - k_2)/(k + k_2), which cancels at large k:
+    # at z_tilde 1e-3 the value was 2.1e-12 off with an estimate of
+    # 4.3e-13 (relative), and z_tilde <= 1e-4 did not converge.  The
+    # estimate describes the integral before the prefactor.
+    p = make_particle()
+    g = geo(p, zt)
+    q = QuadratureConfig(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=400)
+    value, res = u_m_static(p, PLASMA, g, q, deriv=deriv, strict=False)
+    assert res.converged
+    pref = 3.0 / 8.0 * p.eta * p.spin**2
+    ref = -pref * _static_integral_mpmath(g.z_tilde(p), deriv)
+    assert abs(value - ref) <= pref * res.error_estimate
 
 
 def test_electric_shift_spin_independent():
@@ -285,20 +317,15 @@ def test_pc_kernel_identity_matches_its_integral(y):
 PC_GRID = (1e-4, 1e-3, 0.1, 1.0, 10.0, 20.0, 30.0, 100.0, 1e3, 1e7)
 
 
-def _with_ratio(ratio):
-    """The test particle at omega_m/omega_e = ratio; ratio 1 lies outside
-    build_particle's hierarchy, so omega_tilde is set directly there."""
-    if ratio < 1.0:
-        return make_particle(omega_m=ratio * OMEGA_E)
-    return replace(make_particle(), omega_m=OMEGA_E, omega_tilde=1.0)
-
-
 @pytest.mark.parametrize("deriv", [False, True])
 @pytest.mark.parametrize("ratio", [None, 1e-8, 1e-5, 1.0],
                          ids=["electric", "m1e-8", "m1e-5", "m1"])
 def test_pc_closed_forms_against_mpmath(ratio, deriv):
-    # the grid straddles the switch to the asymptotic series at y = 40
-    p = _with_ratio(ratio or 1e-5)
+    # the grid straddles the switch to the asymptotic series at y = 40;
+    # ratio 1 lies outside ParticleSpec's hierarchy, so there the w = 1
+    # kernel is checked through _pc_closed with the magnetic prefactor
+    p = make_particle(omega_m=min(ratio or 1e-5, 1e-5) * OMEGA_E)
+    w = 1.0 if ratio == 1.0 else p.omega_tilde
     for zt in PC_GRID:
         g = geo(p, zt)
         zt = g.z_tilde(p)
@@ -306,9 +333,12 @@ def test_pc_closed_forms_against_mpmath(ratio, deriv):
             value, res = u_e_pc_closed(p, g, QUAD, deriv=deriv)
             ref = _pc_closed_mpmath(-3.0 / (32.0 * math.pi), zt, 1.0, deriv)
         else:
-            value, res = u_m_pc_closed(p, g, QUAD, deriv=deriv)
             pref = 3.0 * p.eta * p.spin / (32.0 * math.pi)
-            ref = _pc_closed_mpmath(pref, zt, p.omega_tilde, deriv)
+            if ratio == 1.0:
+                value, res = _pc_closed(zt, w, pref, deriv)
+            else:
+                value, res = u_m_pc_closed(p, g, QUAD, deriv=deriv)
+            ref = _pc_closed_mpmath(pref, zt, w, deriv)
         err = abs(value - ref)
         assert res.converged and res.evaluations == 0
         assert res.value == value
@@ -391,7 +421,7 @@ def test_plasma_electric_j_is_the_drude_limit():
     tight = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
 
     def j(surface, zt):
-        res = _real_freq_integral(surface, p.omega_e, p.k_e, 2.0 * zt,
+        res = _real_freq_integral(surface, p.omega_e, 2.0 * zt,
                                   swap_polarizations=True, quad=tight)
         assert res.converged
         return res.value
@@ -476,7 +506,7 @@ def test_unattainable_tolerance_at_the_real_pole_is_flagged():
     # finite and flagged, without a division by zero
     p = make_particle()
     q = QuadratureConfig(rel_tol=1e-14, abs_tol=0.0, max_subdivisions=2000)
-    res = _real_freq_integral(PLASMA, p.omega_e, p.k_e, 0.6,
+    res = _real_freq_integral(PLASMA, p.omega_e, 0.6,
                               swap_polarizations=True, quad=q)
     assert cmath.isfinite(res.value)
     assert not res.converged
