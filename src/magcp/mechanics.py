@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import constants as sc
 from .asymptotics import RegimeViolation, _check_nr
 from .materials import SurfaceModel
 from .params import EnvironmentSpec, Geometry, ParticleSpec, \
@@ -145,8 +144,9 @@ def _analytic_equilibrium(particle: ParticleSpec,
     """Quarter-power near-field estimates of the equilibrium position."""
     if environment.g == 0:
         return None
-    base = particle.eta * sc.hbar * particle.gamma_0_free * particle.k_e \
-        / (particle.mass_per_spin * environment.g)
+    # eta over the weight per unit spin, in the one force unit
+    base = -particle.eta * particle.spin \
+        / gravity_force_dimensionless(particle, environment)
     if mode == "ground" and not include_static:
         return (9.0 / 64.0 * base) ** 0.25
     if mode == "ground":

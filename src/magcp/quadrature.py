@@ -9,7 +9,10 @@ taken over panels sorted by position, so results are bit-stable for
 identical inputs.  Integrals over [a, inf) share one mapping and one
 tail bound, in ``_semi_infinite_rows``: ``integrate_semi_infinite`` is
 one row, and the inner integrals of a nested call are many rows, each
-taking the panel decisions it would take alone.  Integrands are called
+taking the panel decisions it would take alone from panels graded toward
+its lower limit.  A row's panels live in slot arrays that start with room
+for a few bisections and double when full, so a lockstep of many rows
+that mostly stop early stays small.  Integrands are called
 with a 1-d numpy array of abscissae, the 15 nodes of each panel side by
 side, and must return an array of the same shape (real or complex)
 whose entries depend only on their own abscissa.
@@ -47,6 +50,16 @@ _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 # where resabs exceeds tiny/(50*eps)
 _EPS50 = 50.0 * np.finfo(float).eps
 _RESABS_FLOOR = np.finfo(float).tiny / _EPS50
+
+# bisections the slot arrays of _adaptive_rows first make room for
+_FIRST_BISECTIONS = 8
+
+# The inner rows of integrate_nested start from a ratio-4 grading toward
+# their lower limit, at offsets d = s*4^-k (k = 1.._INNER_GRADING, s the
+# row's tail scale): in t = d/(s + d) these edges are the same in every row.
+_INNER_GRADING = 3
+_INNER_T_EDGES = tuple(4.0**-k / (1.0 + 4.0**-k)
+                       for k in range(_INNER_GRADING, 0, -1))
 
 
 class QuadratureError(Exception):
@@ -148,23 +161,25 @@ def _adaptive_rows(g, edges, config: QuadratureConfig):
     # Panel j of row i is [lo, hi][i, j].  Slots are filled in creation
     # order: a bisection appends both halves and empties its parent's
     # slot (lo = inf, value and error 0), so the first slot of largest
-    # error holds the oldest worst panel.
-    width = p + 2 * config.max_subdivisions
-    lo = np.full((n, width), np.inf)
-    hi = np.zeros((n, width))
-    val = np.zeros((n, width), dtype=v.dtype)
-    err = np.zeros((n, width))
-    lo[:, :p], hi[:, :p], val[:, :p], err[:, :p] = \
-        edges[:, :-1], edges[:, 1:], v, e
+    # error holds the oldest worst panel.  Most rows stop after a few
+    # bisections, so the slots start with room for _FIRST_BISECTIONS and
+    # the room doubles whenever it fills, up to the budget.
+    full = p + 2 * config.max_subdivisions
+    lo, hi, val, err = edges[:, :-1], edges[:, 1:], v, e
     evals = np.full(n, 15 * p)
     used = p                # slots filled so far, by every row alike
-    while used < width:
+    while used < full:
         live = err[rows, :used]
         short = ~_converged(val[rows, :used].sum(axis=1), live.sum(axis=1),
                             config)
         rows = rows[short]
         if rows.size == 0:
             break
+        if used == lo.shape[1]:
+            width = min(full, p + 2 * max(_FIRST_BISECTIONS, used - p))
+            lo, hi, val, err = (_widened(a, width, empty)
+                                for a, empty in ((lo, np.inf), (hi, 0.0),
+                                                 (val, 0.0), (err, 0.0)))
         j = live[short].argmax(axis=1)
         lo_j, hi_j = lo[rows, j], hi[rows, j]
         ends = np.array([lo_j, 0.5 * (lo_j + hi_j), hi_j])
@@ -186,6 +201,13 @@ def _adaptive_rows(g, edges, config: QuadratureConfig):
     value = np.cumsum(val[by_row, order], axis=1)[:, -1]
     error = np.cumsum(err[by_row, order], axis=1)[:, -1]
     return value, error, evals
+
+
+def _widened(a, width, empty):
+    """The (n, k) array a followed by width - k columns of ``empty``."""
+    out = np.full((len(a), width), empty, dtype=a.dtype)
+    out[:, :a.shape[1]] = a
+    return out
 
 
 def _converged(value, error, config: QuadratureConfig):
@@ -233,15 +255,17 @@ def integrate_finite(f, a: float, b: float, config: QuadratureConfig,
     return _result(*_adaptive_rows(_one_row(f), [edges], config), config)
 
 
-def _semi_infinite_rows(f, lower, scale, config: QuadratureConfig):
+def _semi_infinite_rows(f, lower, scale, config: QuadratureConfig,
+                        t_edges=()):
     """Integrals of f over [lower[i], inf), one row each, in lockstep.
 
     Row i maps x = a + s*t/(1-t) (a = lower[i], s = scale[i], by default
     max(1, |a|)) onto t in [0, 1) and cuts the tail at
-    x - a = s*10^tail_decades; ``config.split_points`` in between become
-    initial t-edges, equally many in every row.  ``f`` gets an index array
-    of rows and x of shape (len(rows), m).  Returns each row's value,
-    error estimate (tail bound included) and evaluation count.
+    x - a = s*10^tail_decades; ``config.split_points`` in between, and the
+    t-values ``t_edges`` shared by every row, become initial t-edges,
+    equally many in every row.  ``f`` gets an index array of rows and x
+    of shape (len(rows), m).  Returns each row's value, error estimate
+    (tail bound included) and evaluation count.
     """
     a = np.asarray(lower, dtype=float).reshape(-1, 1)
     s = np.maximum(1.0, np.abs(a)) if scale is None else \
@@ -252,9 +276,12 @@ def _semi_infinite_rows(f, lower, scale, config: QuadratureConfig):
     span = 10.0 ** config.tail_decades
     t_max = span / (1.0 + span)
     edges = np.zeros((n, 2))
+    t = np.broadcast_to(np.asarray(t_edges, dtype=float), (n, len(t_edges)))
     if config.split_points:
         d = np.maximum(np.array(config.split_points) - a, 0.0)
-        t = np.sort(d / (s + d))
+        t = np.concatenate([t, d / (s + d)], axis=1)
+    if t.size:
+        t = np.sort(t)
         keep = (0.0 < t) & (t < t_max)
         keep[:, 1:] &= t[:, 1:] != t[:, :-1]
         counts = keep.sum(axis=1)
@@ -308,8 +335,10 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     with a 1-d y.  ``inner_lower`` is a
     constant or a callable of x; ``inner_tail_scale`` likewise, or None.
     A callable gets the 1-d array of outer nodes and returns an array of
-    that shape or a scalar.  Each inner integral takes the panel
-    decisions integrate_semi_infinite would take for it alone.
+    that shape or a scalar.  Each inner integral starts from a ratio-4
+    grading toward its lower limit (edges s*4^-k above it for
+    k = 1.._INNER_GRADING, s its tail scale) and from there bisects as
+    it would alone.
     The error estimate conservatively adds the worst inner error, scaled
     by an effective outer extent, to the outer estimate.
     """
@@ -333,7 +362,7 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
                  else per_node(inner_tail_scale, xs))
         value, error, evals = _semi_infinite_rows(
             lambda rows, y: inner_f(xs[rows, None], y), lower, scale,
-            inner_cfg)
+            inner_cfg, t_edges=_INNER_T_EDGES)
         converged = _converged(value, error, inner_cfg)
         stats["evals"] += int(evals.sum())
         stats["max_err"] = float(np.fmax.reduce(error,

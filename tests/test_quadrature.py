@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from magcp import Drude, Geometry, potentials
 from magcp.quadrature import (
+    _INNER_T_EDGES,
     _NODES,
     _WEIGHTS_G,
     _WEIGHTS_K,
@@ -100,10 +102,12 @@ def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None):
     return IntegralResult(total, total_err, evals, converged)
 
 
-def _heap_semi_infinite(f, lower_limit, config, tail_scale=None):
+def _heap_semi_infinite(f, lower_limit, config, tail_scale=None,
+                        t_edges=()):
     """integrate_semi_infinite as it was before it became one row of
     _semi_infinite_rows: its own mapping, split-point mapping and tail
-    bound around _heap_finite."""
+    bound around _heap_finite.  ``t_edges`` are further initial edges in
+    the mapped variable t, as _semi_infinite_rows takes them."""
     a = float(lower_limit)
     s = float(tail_scale) if tail_scale is not None else max(1.0, abs(a))
     span = 10.0 ** config.tail_decades
@@ -115,6 +119,7 @@ def _heap_semi_infinite(f, lower_limit, config, tail_scale=None):
 
     breakpoints = [(p - a) / (s + (p - a))
                    for p in config.split_points or () if p > a]
+    breakpoints += list(t_edges)
     res = _heap_finite(g, 0.0, t_max, config, breakpoints=breakpoints)
     x_max = a + s * span
     tail_bound = float(np.abs(np.asarray(f(np.array([x_max])))[0])) * x_max
@@ -194,9 +199,9 @@ def _per_node_nested(inner_f, outer_lower, inner_lower, config,
     """integrate_nested with one _heap_semi_infinite per outer node.
 
     The reference for the lockstep inner integrals and the batched outer
-    panels: same budget split, same bookkeeping, the heap core and a
-    plain loop over the outer nodes.  ``inner_lower``
-    and ``inner_tail_scale`` must be callables.
+    panels: same budget split, same bookkeeping, the same graded initial
+    inner panels, the heap core and a plain loop over the outer nodes.
+    ``inner_lower`` and ``inner_tail_scale`` must be callables.
     """
     inner_cfg = QuadratureConfig(
         rel_tol=config.rel_tol / 10.0, abs_tol=config.abs_tol / 10.0,
@@ -213,7 +218,7 @@ def _per_node_nested(inner_f, outer_lower, inner_lower, config,
         for i, x in enumerate(xs):
             res = _heap_semi_infinite(
                 lambda y: inner_f(x, y), inner_lower(x), inner_cfg,
-                tail_scale=inner_tail_scale(x))
+                tail_scale=inner_tail_scale(x), t_edges=_INNER_T_EDGES)
             stats["evals"] += res.evaluations
             stats["max_err"] = max(stats["max_err"], res.error_estimate)
             if not res.converged and stats["failed_at"] is None:
@@ -475,7 +480,9 @@ def test_nested_batches_initial_outer_panels():
     res = integrate_nested(f, 0.0, lambda x: x,
                            replace(CFG, split_points=(0.5, 1.0, 2.0)))
     assert res.converged
-    assert shapes[0] == ((4 * 15, 1), (4 * 15, 15))
+    # every inner row starts from its graded panels
+    inner_panels = len(_INNER_T_EDGES) + 1
+    assert shapes[0] == ((4 * 15, 1), (4 * 15, 15 * inner_panels))
 
 
 def test_nested_non_finite_inner_integrand_raises():
@@ -549,3 +556,46 @@ def test_exponential_any_scale(scale):
     res = integrate_semi_infinite(lambda x: np.exp(-x / scale), 0.0, CFG,
                                   tail_scale=scale)
     assert res.value == pytest.approx(scale, rel=1e-8)
+
+
+# the kinked rows need about 50 bisections at this tolerance
+SLOTS = QuadratureConfig(rel_tol=3e-14, abs_tol=0.0, max_subdivisions=40)
+
+
+def test_lockstep_slot_growth_matches_per_node_loop():
+    # 40 rows: most of those below the kink spend the whole budget, so
+    # their slot arrays are widened three times, while the others stop
+    # after a few bisections
+    xs = np.linspace(0.0, 6.0, 40)
+    value, error, evals = _semi_infinite_rows(
+        lambda rows, y: _kinked(xs[rows, None], y), xs, np.ones_like(xs),
+        SLOTS)
+    converged = _converged(value, error, SLOTS)
+    for i, x in enumerate(xs):
+        ref = _heap_semi_infinite(lambda y: _kinked(x, y), x, SLOTS,
+                                  tail_scale=1.0)
+        assert value[i].tobytes() == np.float64(ref.value).tobytes()
+        assert error[i] == pytest.approx(ref.error_estimate, rel=1e-14,
+                                         abs=0.0)
+        assert evals[i] == ref.evaluations
+        assert converged[i] == ref.converged
+    budget = 1 + 15 + 30 * SLOTS.max_subdivisions
+    assert (evals == budget).sum() > 5 and converged.sum() > 20
+
+
+def test_inner_lockstep_slots_grow_with_use():
+    # 270 rows at a budget of 2000 bisections: slot arrays sized for the
+    # whole budget would take 270*(4 + 4000) slots of 4 arrays, 34.6 MB;
+    # these rows stop after a few bisections
+    xs = np.linspace(0.0, 8.0, 270)
+    config = replace(CFG, max_subdivisions=2000)
+    tracemalloc.start()
+    try:
+        _, _, evals = _semi_infinite_rows(
+            lambda rows, y: _smooth(xs[rows, None], y), xs,
+            np.ones_like(xs), config, t_edges=_INNER_T_EDGES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert evals.max() < 1 + 4 * 15 + 30 * 20
+    assert peak < 4e6
