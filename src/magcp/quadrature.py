@@ -9,13 +9,15 @@ taken over panels sorted by position, so results are bit-stable for
 identical inputs.  Integrals over [a, inf) share one mapping and one
 tail bound, in ``_semi_infinite_rows``: ``integrate_semi_infinite`` is
 one row, and the inner integrals of a nested call are many rows, each
-taking the panel decisions it would take alone from panels graded toward
-its lower limit.  A row's panels live in slot arrays that start with room
-for a few bisections and double when full, so a lockstep of many rows
-that mostly stop early stays small.  Integrands are called
-with a 1-d numpy array of abscissae, the 15 nodes of each panel side by
-side, and must return an array of the same shape (real or complex)
-whose entries depend only on their own abscissa.
+taking the panel decisions it would take alone.  An inner row starts
+from six panels graded by factors of 4 through its own tail scale, so
+most rows meet their tolerance without a bisection.  A row's panels
+live in slot arrays that start with room for a few bisections and
+double when full, so a lockstep of many rows that mostly stop early
+stays small.  Integrands are called with a 1-d numpy array of
+abscissae, the 15 nodes of each panel side by side, and must return an
+array of the same shape (real or complex) whose entries depend only on
+their own abscissa.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ _RESABS_FLOOR = np.finfo(float).tiny / _EPS50
 # bisections the slot arrays of _adaptive_rows first make room for
 _FIRST_BISECTIONS = 8
 
-# The inner rows of integrate_nested start from a ratio-4 grading toward
-# their lower limit, at offsets d = s*4^-k (k = 1.._INNER_GRADING, s the
-# row's tail scale): in t = d/(s + d) these edges are the same in every row.
-_INNER_GRADING = 3
-_INNER_T_EDGES = tuple(4.0**-k / (1.0 + 4.0**-k)
-                       for k in range(_INNER_GRADING, 0, -1))
+# The inner rows of integrate_nested start from a ratio-4 grading through
+# their tail scale s, at offsets d = s*4^k above the lower limit for
+# k = -2..2: in t = d/(s + d) these edges are 1/17, 1/5, 1/2, 4/5 and
+# 16/17 in every row, so the six initial panels span the row's e^(-d/s)
+# envelope, as in QUADPACK's QAGI, and it need not be bisected into.
+_INNER_T_EDGES = tuple(4.0**k / (1.0 + 4.0**k) for k in range(-2, 3))
 
 
 class QuadratureError(Exception):
@@ -336,9 +338,9 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     constant or a callable of x; ``inner_tail_scale`` likewise, or None.
     A callable gets the 1-d array of outer nodes and returns an array of
     that shape or a scalar.  Each inner integral starts from a ratio-4
-    grading toward its lower limit (edges s*4^-k above it for
-    k = 1.._INNER_GRADING, s its tail scale) and from there bisects as
-    it would alone.
+    grading through its tail scale s (edges s*4^k above its lower limit
+    for k = -2..2, the t-edges _INNER_T_EDGES) and from there bisects
+    as it would alone.
     The error estimate conservatively adds the worst inner error, scaled
     by an effective outer extent, to the outer estimate.
     """
