@@ -85,15 +85,14 @@ def matrix_element_flip(spin: float, m_s: float) -> float:
     return spin * (spin + 1.0) - m_s * (m_s - 1.0)
 
 
-def _finish(prefactor: float, res: IntegralResult, what: str, strict: bool,
-            part: str | None = None):
-    """(value, result) of prefactor times the integral res, or times its
-    "real" or "imag" ``part``.  The result is in the value's own units,
-    as the closed forms' are: its value is the value and its error
-    estimate is res's times |prefactor|.  Raises QuadratureFailure when
-    strict and res did not converge."""
-    raw = res.value if part is None else getattr(res.value, part)
-    value = prefactor * raw
+def _finish(prefactor: float, part: float, res: IntegralResult, what: str,
+            strict: bool):
+    """(value, result) of value = prefactor * part, where part is the
+    value of the integral res or its real or imaginary part.  The result
+    is in the value's own units, as the closed forms' are: its value is
+    the value and its error estimate is res's times |prefactor|.  Raises
+    QuadratureFailure when strict and res did not converge."""
+    value = prefactor * part
     res = replace(res, value=value,
                   error_estimate=abs(prefactor) * res.error_estimate)
     if strict and not res.converged:
@@ -171,8 +170,8 @@ def u_e_ground(particle: ParticleSpec, surface: SurfaceModel,
     With deriv=True returns d/dz_tilde of the shift instead.
     """
     res = _ground_double(particle, surface, geometry, quad, "electric", deriv)
-    return _finish(3.0 / (8.0 * math.pi), res, "electric ground shift",
-                   strict)
+    return _finish(3.0 / (8.0 * math.pi), res.value, res,
+                   "electric ground shift", strict)
 
 
 def u_m_ground_broadband(particle: ParticleSpec, surface: SurfaceModel,
@@ -181,7 +180,8 @@ def u_m_ground_broadband(particle: ParticleSpec, surface: SurfaceModel,
     """Broadband magnetic ground-state shift; repulsive, linear in S."""
     res = _ground_double(particle, surface, geometry, quad, "magnetic", deriv)
     pref = 3.0 / (8.0 * math.pi) * particle.omega_tilde * particle.eta * particle.spin
-    return _finish(pref, res, "broadband magnetic ground shift", strict)
+    return _finish(pref, res.value, res, "broadband magnetic ground shift",
+                   strict)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,8 @@ def u_m_static(particle: ParticleSpec, surface: SurfaceModel,
 
     res = integrate_semi_infinite(integrand, 0.0, quad,
                                   tail_scale=1.0 / (2.0 * zt))
-    return _finish(-3.0 / 8.0 * eta_s2, res, "magnetostatic shift", strict)
+    return _finish(-3.0 / 8.0 * eta_s2, res.value, res, "magnetostatic shift",
+                   strict)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +534,8 @@ def u_m_excited0(particle: ParticleSpec, surface: SurfaceModel,
     if deriv:
         # one deriv order carries 2*k_m = 2*omega_tilde in z_tilde units
         pref *= 2.0 * particle.omega_tilde
-    return _finish(pref, res, "resonant magnetic shift", strict, "real")
+    return _finish(pref, res.value.real, res, "resonant magnetic shift",
+                   strict)
 
 
 def u_m0_pc_closed(particle: ParticleSpec, geometry: Geometry,
@@ -586,7 +588,7 @@ def delta_gamma_m(particle: ParticleSpec, surface: SurfaceModel,
         return 0.0, IntegralResult(0.0, 0.0, 0, True)
     res = _resonant_j(particle, surface, geometry, quad)
     pref = 3.0 / 8.0 * particle.eta * particle.omega_tilde**3 * weight
-    return _finish(pref, res, "spin-flip rate", strict, "imag")
+    return _finish(pref, res.value.imag, res, "spin-flip rate", strict)
 
 
 def delta_gamma_e(particle: ParticleSpec, surface: SurfaceModel,
@@ -601,7 +603,7 @@ def delta_gamma_e(particle: ParticleSpec, surface: SurfaceModel,
     a = 2.0 * geometry.z_tilde(particle)
     res = _real_freq_integral(surface, particle.omega_e, a,
                               swap_polarizations=True, quad=quad)
-    return _finish(0.75, res, "ED rate correction", strict, "imag")
+    return _finish(0.75, res.value.imag, res, "ED rate correction", strict)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ _FIRST_BISECTIONS = 8
 # their tail scale s, at offsets d = s*4^k above the lower limit for
 # k = -2..2: in t = d/(s + d) these edges are 1/17, 1/5, 1/2, 4/5 and
 # 16/17 in every row, so the six initial panels span the row's e^(-d/s)
-# envelope, as in QUADPACK's QAGI, and it need not be bisected into.
+# envelope and bisections are not spent reaching it.
 _INNER_T_EDGES = tuple(4.0**k / (1.0 + 4.0**k) for k in range(-2, 3))
 
 
