@@ -204,12 +204,14 @@ def _fmt(value, precision: int) -> str:
 
 
 def _json_value(value, precision: int):
-    """A cell as a JSON value: numbers carry the digits of the CSV cell."""
+    """A cell as a JSON value: numbers carry the digits of the CSV cell,
+    and a non-finite one is null, since JSON has no inf or nan."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if value is None or isinstance(value, str):
         return value
-    return float(_fmt(value, precision))
+    number = float(_fmt(value, precision))
+    return number if math.isfinite(number) else None
 
 
 def _emit(columns: list[str], rows: list[dict], cfg: JobConfig) -> None:
@@ -225,7 +227,8 @@ def _emit(columns: list[str], rows: list[dict], cfg: JobConfig) -> None:
             "rows": [{c: _json_value(row.get(c), cfg.precision)
                       for c in columns} for row in rows],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     if cfg.out_path:
         with open(cfg.out_path, "w") as fh:
             fh.write(text)

@@ -8,13 +8,10 @@ the electric-dipole transition and k_e = omega_e/c.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
 from . import constants as sc
-
-log = logging.getLogger(__name__)
 
 E_A0 = sc.e * sc.bohr_radius  # 1 atomic dipole unit, C*m
 ALPHA = sc.fine_structure
@@ -48,8 +45,9 @@ class ParticleSpec:
 
     Frequencies are angular (rad/s); ``dipole_moment`` is in C*m.  The
     constructor validates its inputs, resolves ``m_s=None`` to the
-    stretched sublevel -spin and ``gamma_0_free=None`` to the dipole's
-    free-space rate, and derives ``eta``, ``omega_tilde`` and ``k_e``.
+    stretched sublevel -spin, and derives ``eta``, ``omega_tilde``, ``k_e``
+    and ``gamma_0_free``, the dipole's free-space rate: the one Gamma0 of
+    every dimensionless unit and of ``eta``'s normalisation.
     """
 
     omega_e: float
@@ -59,7 +57,7 @@ class ParticleSpec:
     m_s: float | None = None
     mass_per_spin: float = M_U
     gyro_ratio: float = GYRO_ELECTRON
-    gamma_0_free: float | None = None  # ED free-space emission rate, rad/s
+    gamma_0_free: float = field(init=False)  # ED free-space rate, rad/s
     eta: float = field(init=False)  # magnetizability-to-polarizability ratio
     omega_tilde: float = field(init=False)  # omega_m / omega_e
     k_e: float = field(init=False)  # omega_e / c, 1/m
@@ -82,18 +80,10 @@ class ParticleSpec:
         if not abs(m_s) <= self.spin + 1e-12:
             raise SublevelOutOfRange(
                 f"|m_s| = {abs(m_s)} exceeds spin = {self.spin}")
-        derived_gamma0 = gamma0_from_dipole(self.dipole_moment, self.omega_e)
-        gamma_0 = self.gamma_0_free
-        if gamma_0 is None:
-            gamma_0 = derived_gamma0
-        elif not 0 < gamma_0 < math.inf:
-            raise NonPositiveInput(
-                f"gamma_0 must be positive and finite, got {gamma_0}")
-        elif abs(gamma_0 - derived_gamma0) / derived_gamma0 > 0.05:
-            log.info("supplied Gamma0 = %.4g rad/s overrides dipole-derived "
-                     "%.4g rad/s", gamma_0, derived_gamma0)
         for name, val in (
-                ("m_s", m_s), ("gamma_0_free", gamma_0),
+                ("m_s", m_s),
+                ("gamma_0_free",
+                 gamma0_from_dipole(self.dipole_moment, self.omega_e)),
                 ("eta", eta_from_dipole(self.dipole_moment, self.gyro_ratio)),
                 ("omega_tilde", self.omega_m / self.omega_e),
                 ("k_e", self.omega_e / sc.c)):
@@ -161,19 +151,29 @@ def build_particle(
     """A ParticleSpec from inputs in the units a source quotes.
 
     The dipole moment is given either in SI (``dipole_moment``, C*m) or in
-    atomic units of e*a0 (``dipole_moment_au``).  ``gamma_0``, when supplied,
-    overrides the value derived from the dipole moment; it is read as an
-    angular rate unless ``gamma_0_in_hz`` is set (the source quotes a rate in
-    MHz without fixing the convention).
+    atomic units of e*a0 (``dipole_moment_au``).  ``gamma_0``, when given,
+    is a quoted Gamma0, checked and never used: read as an angular rate
+    unless ``gamma_0_in_hz`` is set (the source quotes a rate in MHz
+    without fixing the convention), it is refused more than 5 % from the
+    dipole's free-space rate, which is Gamma0.
     """
     if (dipole_moment is None) == (dipole_moment_au is None):
         raise ValueError("give exactly one of dipole_moment, dipole_moment_au")
     if dipole_moment is None:
         dipole_moment = dipole_moment_au * E_A0
-    if gamma_0 is not None and gamma_0_in_hz:
-        gamma_0 = 2 * math.pi * gamma_0
-    return ParticleSpec(omega_e, omega_m, dipole_moment, spin, m_s,
-                        mass_per_spin, gyro_ratio, gamma_0)
+    particle = ParticleSpec(omega_e, omega_m, dipole_moment, spin, m_s,
+                            mass_per_spin, gyro_ratio)
+    if gamma_0 is not None:
+        quote = 2 * math.pi * gamma_0 if gamma_0_in_hz else gamma_0
+        if not 0 < quote < math.inf:
+            raise NonPositiveInput(
+                f"gamma_0 must be positive and finite, got {quote}")
+        if abs(quote / particle.gamma_0_free - 1.0) > 0.05:
+            raise ValueError(
+                f"gamma_0 = {quote:.4g} rad/s is more than 5 % from the "
+                f"dipole's free-space rate {particle.gamma_0_free:.4g} "
+                "rad/s, which is Gamma0")
+    return particle
 
 
 def _unit(particle: ParticleSpec, kind: str) -> float:

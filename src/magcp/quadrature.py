@@ -91,6 +91,10 @@ class QuadratureConfig:
             raise ValueError(
                 f"max_subdivisions must be >= 10, got {self.max_subdivisions}"
             )
+        # from 16 on the tail cut t = span/(1 + span) rounds to 1.0
+        if not 1 <= self.tail_decades <= 15:
+            raise ValueError(
+                f"tail_decades must be from 1 to 15, got {self.tail_decades}")
 
 
 @dataclass(frozen=True)
@@ -261,37 +265,22 @@ def _semi_infinite_rows(f, lower, scale, config: QuadratureConfig,
                         t_edges=()):
     """Integrals of f over [lower[i], inf), one row each, in lockstep.
 
-    Row i maps x = a + s*t/(1-t) (a = lower[i], s = scale[i], by default
-    max(1, |a|)) onto t in [0, 1) and cuts the tail at
-    x - a = s*10^tail_decades; ``config.split_points`` in between, and the
-    t-values ``t_edges`` shared by every row, become initial t-edges,
-    equally many in every row.  ``f`` gets an index array of rows and x
-    of shape (len(rows), m).  Returns each row's value, error estimate
-    (tail bound included) and evaluation count.
+    Row i maps x = a + s*t/(1-t) (a = lower[i], s = scale[i]) onto t in
+    [0, 1) and cuts the tail at x - a = s*10^tail_decades; the t-values
+    ``t_edges`` in between are initial edges of every row.  ``f`` gets an
+    index array of rows and x of shape (len(rows), m).  Returns each row's
+    value, error estimate (tail bound included) and evaluation count.
     """
     a = np.asarray(lower, dtype=float).reshape(-1, 1)
-    s = np.maximum(1.0, np.abs(a)) if scale is None else \
-        np.asarray(scale, dtype=float).reshape(-1, 1)
+    s = np.asarray(scale, dtype=float).reshape(-1, 1)
     if (s <= 0).any():
         raise ValueError(f"tail_scale must be positive, got {s[s <= 0][0]}")
     n = len(a)
     span = 10.0 ** config.tail_decades
     t_max = span / (1.0 + span)
-    edges = np.zeros((n, 2))
-    t = np.broadcast_to(np.asarray(t_edges, dtype=float), (n, len(t_edges)))
-    if config.split_points:
-        d = np.maximum(np.array(config.split_points) - a, 0.0)
-        t = np.concatenate([t, d / (s + d)], axis=1)
-    if t.size:
-        t = np.sort(t)
-        keep = (0.0 < t) & (t < t_max)
-        keep[:, 1:] &= t[:, 1:] != t[:, :-1]
-        counts = keep.sum(axis=1)
-        if (counts != counts[0]).any():
-            raise ValueError("split_points differ in count between rows")
-        edges = np.zeros((n, counts[0] + 2))
-        edges[:, 1:-1] = t[keep].reshape(n, -1)
-    edges[:, -1] = t_max
+    t = np.unique(np.asarray(t_edges, dtype=float))
+    t = t[(0.0 < t) & (t < t_max)]
+    edges = np.tile(np.concatenate([[0.0], t, [t_max]]), (n, 1))
 
     # all rows need no gather; a lone row broadcasts faster as floats
     whole = (float(a[0, 0]), float(s[0, 0])) if n == 1 else (a, s)
@@ -316,11 +305,16 @@ def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
 
     ``tail_scale`` s defaults to max(1, |a|) and should be set to the
     decay scale of the integrand when known; the tail is cut at
-    x - a = s*10^tail_decades.
+    x - a = s*10^tail_decades.  Each of ``config.split_points`` p becomes
+    the initial t-edge d/(s + d), d = max(p - a, 0).
     """
-    scale = None if tail_scale is None else [tail_scale]
-    return _result(*_semi_infinite_rows(_one_row(f), [lower_limit], scale,
-                                        config), config)
+    s = max(1.0, abs(lower_limit)) if tail_scale is None else tail_scale
+    if not s > 0:
+        raise ValueError(f"tail_scale must be positive, got {s}")
+    d = np.maximum(np.array(config.split_points or ()) - lower_limit, 0.0)
+    return _result(*_semi_infinite_rows(_one_row(f), [lower_limit], [s],
+                                        config, t_edges=d / (s + d)),
+                   config)
 
 
 def integrate_nested(inner_f, outer_lower: float, inner_lower,
@@ -348,7 +342,7 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     # the inner passes a tenth, so the conservative combined bound still
     # meets the caller's tolerance and the converged flag stays honest.
     inner_cfg = replace(config, rel_tol=config.rel_tol / 10.0,
-                        abs_tol=config.abs_tol / 10.0, split_points=None)
+                        abs_tol=config.abs_tol / 10.0)
     outer_cfg = replace(config, rel_tol=config.rel_tol / 2.0,
                         abs_tol=config.abs_tol / 2.0)
     stats = {"evals": 0, "failed_at": None, "max_err": 0.0}
@@ -360,7 +354,7 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
 
     def outer_integrand(xs):
         lower = per_node(inner_lower, xs)
-        scale = (None if inner_tail_scale is None
+        scale = (np.maximum(1.0, np.abs(lower)) if inner_tail_scale is None
                  else per_node(inner_tail_scale, xs))
         value, error, evals = _semi_infinite_rows(
             lambda rows, y: inner_f(xs[rows, None], y), lower, scale,

@@ -345,9 +345,7 @@ def test_criterion_9_spin_flip_rate_formula():
     mu0 |m|^2 k_m^3/(3 pi hbar) with |m|^2 = (hbar gyro)^2 S(S+1)/2.  In
     units of Gamma0 = |d|^2 k_e^3/(3 pi eps0 hbar) that is
     eta S(S+1) wt^3/2, not the printed /3.  The same normalisation gives
-    the electric contact limit -Gamma0 pinned in test_potentials.  Gamma0
-    is taken from the dipole moment, since make_particle overrides
-    gamma_0_free.
+    the electric contact limit -Gamma0 pinned in test_potentials.
     """
     p = make_particle(spin=100.0, m_s=0.0)
     vals = []
@@ -355,13 +353,10 @@ def test_criterion_9_spin_flip_rate_formula():
         g = geo(p, wzt / p.omega_tilde)
         v, _ = delta_gamma_m(p, PC, g, QUAD)
         vals.append(v)
-    k_e = p.omega_e / sc.c
     k_m = p.omega_m / sc.c
-    gamma0 = p.dipole_moment**2 * k_e**3 \
-        / (3.0 * math.pi * sc.epsilon_0 * sc.hbar)
     m_sq = (sc.hbar * p.gyro_ratio) ** 2 * p.spin * (p.spin + 1.0) / 2.0
     gamma_m_free = sc.mu_0 * m_sq * k_m**3 / (3.0 * math.pi * sc.hbar)
-    dev_free = rel_dev(vals[0], gamma_m_free / gamma0)
+    dev_free = rel_dev(vals[0], gamma_m_free / p.gamma_0_free)
     printed = p.eta * p.spin * (p.spin + 1.0) * p.omega_tilde**3 / 3.0
     dev_printed = rel_dev(vals[0], printed)
     z_dev = rel_dev(vals[1], vals[0])

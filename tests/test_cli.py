@@ -86,13 +86,29 @@ def test_output_bit_stable(tmp_path):
     assert first == second
 
 
+def strict_json(text):
+    """json.loads refusing NaN, Infinity and -Infinity, which RFC 8259
+    JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_json_format(tmp_path):
     code, text = run(tmp_path, base_doc(), "potential", "--format", "json")
     assert code == EXIT_OK
-    payload = json.loads(text)
+    payload = strict_json(text)
     assert payload["units"] == UNITS_LINE
     assert len(payload["rows"]) == 4
     assert payload["rows"][0]["converged"] is True
+    # no threshold exists at z_tilde 50 without the static term: the CSV
+    # cell is inf, the JSON cell null
+    doc = base_doc(grid={"z_tilde": [50.0]})
+    code, text = run(tmp_path, doc, "threshold", "--format", "json")
+    assert code == EXIT_OK
+    assert strict_json(text)["rows"][0]["spin_without_static"] is None
+    code, text = run(tmp_path, doc, "threshold")
+    assert csv_rows(text)[0]["spin_without_static"] == "inf"
 
 
 def test_grid_override(tmp_path):
@@ -323,6 +339,8 @@ def particle(**over):
      "quadrature.tail_decades"),
     ("potential", base_doc(quadrature={"max_subdivisions": 200.0}), [],
      "quadrature.max_subdivisions"),
+    ("potential", base_doc(quadrature={"tail_decades": 400}), [],
+     "tail_decades"),
     ("force", base_doc(environment={"g": "x"}), [], "environment.g"),
     ("force", base_doc(environment={"g": float("inf")}), [],
      "environment.g"),
@@ -331,6 +349,8 @@ def particle(**over):
     ("force", base_doc(include_static="false"), [], "include_static must be"),
     ("force", base_doc(particle=particle(gamma_0_in_hz="false")), [],
      "particle.gamma_0_in_hz"),
+    ("force", base_doc(particle=particle(gamma_0_in_hz=True)), [],
+     "gamma_0"),
     ("potential", base_doc(particle=particle(spin="100")), [],
      "particle.spin"),
     ("potential", base_doc(particle=particle(spin=True)), [],
@@ -341,8 +361,8 @@ def particle(**over):
         "z_tilde-nan", "log-str", "log-float-n", "grid-flag",
         "grid-flag-float-n", "omega_p-str", "drude-no-gamma",
         "particle-no-omega_e", "rel_tol-str",
-        "tail-str", "max_subdivisions-float", "g-str", "g-inf", "surface-str",
-        "gravity-str", "static-str", "hz-str", "spin-str", "spin-bool",
+        "tail-str", "max_subdivisions-float", "tail-400", "g-str", "g-inf", "surface-str",
+        "gravity-str", "static-str", "hz-str", "hz-quote-off", "spin-str", "spin-bool",
         "doc-list"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, doc, flags,
                                   field):

@@ -14,7 +14,7 @@ from magcp.mechanics import (
     force_breakdown,
     spin_threshold,
 )
-from magcp.params import EnvironmentSpec
+from magcp.params import EnvironmentSpec, gravity_force_dimensionless
 
 from conftest import GOLD_GAMMA, GOLD_OMEGA_P, make_particle
 
@@ -118,9 +118,12 @@ def test_cp_only_equilibrium_matches_quarter_power_law():
     eq = find_equilibrium(p, PC, QUAD, include_static=False,
                           bracket=(0.5, 50.0))
     assert eq.stable
-    assert eq.analytic_estimate == pytest.approx(2.9246, rel=1e-3)
+    assert eq.analytic_estimate == pytest.approx(2.9565, rel=1e-3)
     assert eq.z_tilde_eq == pytest.approx(eq.analytic_estimate, rel=0.10)
-    assert abs(eq.residual_force) < 1e-9
+    # the root is found to 1e-6 of z, where the force falls as 4 F_g/z,
+    # so the residual is a small fraction of the weight it balances
+    weight = gravity_force_dimensionless(p, EnvironmentSpec())
+    assert abs(eq.residual_force) < 1e-6 * abs(weight)
 
 
 def test_static_equilibrium_matches_quarter_power_law():
@@ -128,8 +131,20 @@ def test_static_equilibrium_matches_quarter_power_law():
     eq = find_equilibrium(p, PC, QUAD, include_static=True,
                           bracket=(1.0, 100.0))
     assert eq.stable
-    assert eq.analytic_estimate == pytest.approx(10.997, rel=1e-3)
+    assert eq.analytic_estimate == pytest.approx(11.118, rel=1e-3)
     assert eq.z_tilde_eq == pytest.approx(eq.analytic_estimate, rel=0.10)
+
+
+def test_gamma0_quote_changes_no_result():
+    # Gamma0 is derived from the dipole; a quote is only checked
+    quoted, bare = make_particle(spin=100.0), make_particle(spin=100.0,
+                                                           gamma_0=None)
+    g = geo(quoted, 0.3)
+    for surface, quad in ((PC, QUAD), (PLASMA, QUAD_FAST)):
+        assert spin_threshold(quoted, surface, g, quad) == \
+            spin_threshold(bare, surface, g, quad)
+    assert find_equilibrium(quoted, PC, QUAD, bracket=(1.0, 100.0)) == \
+        find_equilibrium(bare, PC, QUAD, bracket=(1.0, 100.0))
 
 
 def test_no_equilibrium_without_gravity():

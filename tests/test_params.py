@@ -55,14 +55,22 @@ def test_constants_are_scipy_codata():
         sc.physical_constants["atomic mass constant"][0]
 
 
-def test_gamma0_override_and_hz_switch():
-    p_rad = build_particle(omega_e=OMEGA_E, omega_m=OMEGA_M, spin=1,
-                           dipole_moment_au=0.5, gamma_0=1.8e7)
-    p_hz = build_particle(omega_e=OMEGA_E, omega_m=OMEGA_M, spin=1,
-                          dipole_moment_au=0.5, gamma_0=1.8e7,
-                          gamma_0_in_hz=True)
-    assert p_rad.gamma_0_free == 1.8e7
-    assert p_hz.gamma_0_free == pytest.approx(2.0 * math.pi * 1.8e7)
+def test_gamma0_quote_checked_against_dipole():
+    # the test particle quotes 1.8e7 rad/s, 4.25 % below its dipole's
+    # rate; read in Hz the quote is about 6 times off
+    derived = gamma0_from_dipole(0.5 * E_A0, OMEGA_E)
+    assert derived == pytest.approx(1.880e7, rel=1e-3)
+    assert _particle(gamma_0=1.8e7).gamma_0_free == derived
+    for quote, in_hz in ((1.8e7, True), (0.94 * derived, False),
+                         (1.06 * derived, False), (-4.0, False)):
+        with pytest.raises(ValueError, match="gamma_0"):
+            _particle(gamma_0=quote, gamma_0_in_hz=in_hz)
+
+
+def test_dimensionless_units_use_dipole_gamma0():
+    p = make_particle()
+    unit = sc.hbar * gamma0_from_dipole(p.dipole_moment, p.omega_e)
+    assert from_dimensionless(p, 2.5, "potential") == 2.5 * unit
 
 
 def test_eta_independent_of_gamma0_override():
@@ -112,6 +120,8 @@ NON_FINITE_FIELDS = {
                                  ValueError),
     "QuadratureConfig.abs_tol": (lambda x: QuadratureConfig(abs_tol=x),
                                  ValueError),
+    "QuadratureConfig.tail_decades": (
+        lambda x: QuadratureConfig(tail_decades=x), ValueError),
     "Drude.omega_p": (lambda x: Drude(omega_p=x, gamma=1e14), ValueError),
     "Drude.gamma": (lambda x: Drude(omega_p=1.36e16, gamma=x), ValueError),
     "Plasma.omega_p": (lambda x: Plasma(omega_p=x), ValueError),
@@ -129,41 +139,51 @@ def test_non_finite_inputs_rejected(field, value):
         build(value)
 
 
+@pytest.mark.parametrize("decades", [-3, 0, 16, 400])
+def test_tail_decades_out_of_range_rejected(decades):
+    # from 16 the tail cut t = span/(1 + span) is 1.0, and from 309
+    # 10.0**tail_decades overflows
+    with pytest.raises(ValueError, match="tail_decades"):
+        QuadratureConfig(tail_decades=decades)
+    assert QuadratureConfig(tail_decades=15).tail_decades == 15
+
+
 BASE = {"omega_e": OMEGA_E, "omega_m": OMEGA_M, "spin": 3.0,
         "dipole_moment": 0.5 * E_A0}
 
 
-@pytest.mark.parametrize("over", [{}, {"m_s": 2.0}, {"gamma_0_free": 1.8e7},
+# a gamma_0 quote is checked by build_particle and changes nothing
+@pytest.mark.parametrize("over", [{}, {"m_s": 2.0}, {"gamma_0": 1.8e7},
                                   {"mass_per_spin": 1e-26, "gyro_ratio": 1e11}])
 def test_particle_spec_derives_what_build_particle_did(over):
-    spec = ParticleSpec(**BASE, **over)
-    built = build_particle(**BASE, **{("gamma_0" if k == "gamma_0_free"
-                                       else k): v for k, v in over.items()})
+    spec = ParticleSpec(**BASE, **{k: v for k, v in over.items()
+                                   if k != "gamma_0"})
+    built = build_particle(**BASE, **over)
     for f in dataclasses.fields(ParticleSpec):
         assert getattr(spec, f.name) == getattr(built, f.name), f.name
     assert spec.m_s == over.get("m_s", -3.0)
-    assert spec.gamma_0_free == over.get(
-        "gamma_0_free", gamma0_from_dipole(BASE["dipole_moment"], OMEGA_E))
+    assert spec.gamma_0_free == gamma0_from_dipole(BASE["dipole_moment"],
+                                                   OMEGA_E)
 
 
 REFUSED = [(name, value)
            for name in ("omega_e", "omega_m", "dipole_moment", "spin", "m_s",
-                        "mass_per_spin", "gyro_ratio", "gamma_0_free")
+                        "mass_per_spin", "gyro_ratio")
            for value in (math.nan, math.inf, -math.inf, -4.0)] \
     + [("omega_m", 2.0 * OMEGA_E), ("m_s", 3.5)]
 
 
 @pytest.mark.parametrize("name, value", REFUSED)
 def test_particle_spec_refuses_what_build_particle_refuses(name, value):
-    arg = "gamma_0" if name == "gamma_0_free" else name
     with pytest.raises(ValueError) as built:
-        build_particle(**{**BASE, arg: value})
+        build_particle(**{**BASE, name: value})
     with pytest.raises(ValueError) as spec:
         ParticleSpec(**{**BASE, name: value})
     assert spec.type is built.type
 
 
-@pytest.mark.parametrize("name", ["eta", "omega_tilde", "k_e"])
+@pytest.mark.parametrize("name", ["eta", "omega_tilde", "k_e",
+                                  "gamma_0_free"])
 def test_particle_spec_derived_fields_not_settable(name):
     with pytest.raises(TypeError):
         ParticleSpec(**BASE, **{name: 1.0})
@@ -172,7 +192,8 @@ def test_particle_spec_derived_fields_not_settable(name):
 def test_with_spin_keeps_gamma0_and_takes_stretched_sublevel():
     p = make_particle(spin=100.0, m_s=7.0)
     q = p.with_spin(1.0)
-    assert q.gamma_0_free == p.gamma_0_free == 1.8e7
+    assert q.gamma_0_free == p.gamma_0_free == \
+        gamma0_from_dipole(p.dipole_moment, p.omega_e)
     assert q.spin == 1.0 and q.m_s == -1.0
 
 
@@ -195,10 +216,10 @@ def test_geometry_distance_example():
 
 
 def test_gravity_example_value():
-    # S = 100, Gamma0 = 1.8e7 rad/s: weight in hbar*Gamma0*k_e units
+    # S = 100, Gamma0 = 1.880e7 rad/s: weight in hbar*Gamma0*k_e units
     p = make_particle(spin=100.0)
     f = gravity_force_dimensionless(p, EnvironmentSpec())
-    assert f == pytest.approx(-4.10e-5, rel=0.01)
+    assert f == pytest.approx(-3.92e-5, rel=0.01)
 
 
 def test_unknown_conversion_kind_rejected():

@@ -8,7 +8,9 @@ package quadrature engine.
 
 import cmath
 import itertools
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -641,6 +643,31 @@ def test_near_contact_resonant_integrals_converge():
                 u_m_excited0(P_RES, surface, g, q, deriv=True,
                              strict=False)):
             assert res.converged, zt
+
+
+# J of _real_freq_integral from mpmath alone, by make_real_freq_oracle.py
+REAL_FREQ_ORACLE = json.loads(
+    (Path(__file__).parent / "real_freq_oracle.json").read_text())
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+def test_real_freq_j_within_estimate_of_mpmath_oracle(rel_tol):
+    # the table's inputs are the test particle's and gold's
+    table = REAL_FREQ_ORACLE
+    assert table["omega"] == {"electric": OMEGA_E,
+                              "magnetic": make_particle().omega_m}
+    surfaces = {"drude": Drude(**table["surfaces"]["drude"]),
+                "plasma": Plasma(**table["surfaces"]["plasma"])}
+    assert surfaces == {"drude": GOLD, "plasma": PLASMA}
+    q = QuadratureConfig(rel_tol=rel_tol)
+    assert len(table["rows"]) == 24
+    for row in table["rows"]:
+        res = _real_freq_integral(
+            surfaces[row["surface"]], table["omega"][row["transition"]],
+            row["a"], row["transition"] == "electric", q, row["deriv"])
+        ref = complex(float(row["re"]), float(row["im"]))
+        assert res.converged, row
+        assert abs(res.value - ref) <= res.error_estimate, row
 
 
 def test_resonant_integrand_calls(monkeypatch):

@@ -433,27 +433,13 @@ def test_semi_infinite_matches_heap_over_split_points(f, points, a, scale):
         lambda g: _heap_semi_infinite(g, a, config, tail_scale=scale))
 
 
-def test_semi_infinite_row_with_split_points_matches_lone_call():
-    lower = np.array([0.0, 0.3, 0.8, 1.1])   # all below both split points
-    scale = np.array([1.0, 0.5, 2.0, 1.0])
-    config = replace(CFG, split_points=(1.3, 2.0, -1.0))
-    value, error, evals = _semi_infinite_rows(
-        lambda rows, y: _kinked_decay(y), lower, scale, config)
-    for i in range(len(lower)):
-        ref = integrate_semi_infinite(_kinked_decay, lower[i], config,
-                                      tail_scale=scale[i])
-        assert value[i].tobytes() == np.float64(ref.value).tobytes()
-        assert error[i] == ref.error_estimate
-        assert evals[i] == ref.evaluations
-    assert len(np.unique(evals)) > 1    # the rows take different decisions
-
-
-def test_semi_infinite_rows_refuse_ragged_split_points():
-    # 1.3 lies above the first lower limit only
-    with pytest.raises(ValueError, match="split_points"):
-        _semi_infinite_rows(lambda rows, y: _kinked_decay(y),
-                            np.array([0.0, 2.0]), None,
-                            replace(CFG, split_points=(1.3,)))
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_semi_infinite_refuses_non_positive_tail_scale(scale):
+    # refused before the split points are mapped through it
+    with pytest.raises(ValueError, match="tail_scale"):
+        integrate_semi_infinite(lambda x: np.exp(-x), 0.0,
+                                replace(CFG, split_points=(1.0,)),
+                                tail_scale=scale)
 
 
 def test_one_integrand_call_per_step():
