@@ -55,6 +55,17 @@ def test_constants_are_scipy_codata():
         sc.physical_constants["atomic mass constant"][0]
 
 
+def test_gamma0_override_and_hz_switch():
+    # a quote overrides nothing, and the Hz switch converts it before the
+    # check: the dipole's rate quoted in Hz is accepted
+    derived = gamma0_from_dipole(0.5 * E_A0, OMEGA_E)
+    p_rad = _particle(gamma_0=1.8e7)
+    p_hz = _particle(gamma_0=derived / (2.0 * math.pi), gamma_0_in_hz=True)
+    assert p_rad.gamma_0_free == p_hz.gamma_0_free == derived
+    with pytest.raises(ValueError, match="gamma_0"):
+        _particle(gamma_0=derived, gamma_0_in_hz=True)
+
+
 def test_gamma0_quote_checked_against_dipole():
     # the test particle quotes 1.8e7 rad/s, 4.25 % below its dipole's
     # rate; read in Hz the quote is about 6 times off
@@ -168,18 +179,22 @@ def test_particle_spec_derives_what_build_particle_did(over):
 
 REFUSED = [(name, value)
            for name in ("omega_e", "omega_m", "dipole_moment", "spin", "m_s",
-                        "mass_per_spin", "gyro_ratio")
+                        "mass_per_spin", "gyro_ratio", "gamma_0_free")
            for value in (math.nan, math.inf, -math.inf, -4.0)] \
     + [("omega_m", 2.0 * OMEGA_E), ("m_s", 3.5)]
 
 
 @pytest.mark.parametrize("name, value", REFUSED)
 def test_particle_spec_refuses_what_build_particle_refuses(name, value):
+    # gamma_0_free is derived: build_particle refuses a bad quote of it
+    # (gamma_0) and ParticleSpec takes no value for it at all
+    derived = name == "gamma_0_free"
+    arg = "gamma_0" if derived else name
     with pytest.raises(ValueError) as built:
-        build_particle(**{**BASE, name: value})
-    with pytest.raises(ValueError) as spec:
+        build_particle(**{**BASE, arg: value})
+    with pytest.raises((TypeError, ValueError)) as spec:
         ParticleSpec(**{**BASE, name: value})
-    assert spec.type is built.type
+    assert spec.type is (TypeError if derived else built.type)
 
 
 @pytest.mark.parametrize("name", ["eta", "omega_tilde", "k_e",
