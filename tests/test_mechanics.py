@@ -14,7 +14,7 @@ from magcp.mechanics import (
     force_breakdown,
     spin_threshold,
 )
-from magcp.params import EnvironmentSpec, gravity_force_dimensionless
+from magcp.params import EnvironmentSpec
 
 from conftest import GOLD_GAMMA, GOLD_OMEGA_P, make_particle
 
@@ -116,14 +116,11 @@ def test_gravity_off_environment():
 def test_cp_only_equilibrium_matches_quarter_power_law():
     p = make_particle(spin=2e5)
     eq = find_equilibrium(p, PC, QUAD, include_static=False,
-                          bracket=(0.5, 50.0))
+                          bracket=(0.5, 50.0), rel_tol=1e-9)
     assert eq.stable
     assert eq.analytic_estimate == pytest.approx(2.9565, rel=1e-3)
     assert eq.z_tilde_eq == pytest.approx(eq.analytic_estimate, rel=0.10)
-    # the root is found to 1e-6 of z, where the force falls as 4 F_g/z,
-    # so the residual is a small fraction of the weight it balances
-    weight = gravity_force_dimensionless(p, EnvironmentSpec())
-    assert abs(eq.residual_force) < 1e-6 * abs(weight)
+    assert abs(eq.residual_force) < 1e-9
 
 
 def test_static_equilibrium_matches_quarter_power_law():
