@@ -101,12 +101,10 @@ def _block(block, path: str, fields: dict) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{path or 'config'} must be a JSON object, "
                           f"got {block!r}")
-    unknown = set(block) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)} in "
-                          f"{path or 'config'}; allowed: {sorted(fields)}")
     for name, value in block.items():
-        field, hint = f"{path}.{name}".lstrip("."), fields[name]
+        field, hint = f"{path}.{name}".lstrip("."), fields.get(name)
+        if hint is None:
+            raise ConfigError(f"unknown field {field}")
         if isinstance(hint, dict):
             _block(value, field, hint)
         elif not _fits(value, hint):
@@ -272,6 +270,11 @@ def cmd_force(cfg: JobConfig) -> int:
 
 
 def cmd_threshold(cfg: JobConfig) -> int:
+    if cfg.mode != "ground":
+        sys.stderr.write(f"config error: mode: threshold solves for the "
+                         f"ground state only, got {cfg.mode!r}\n")
+        return EXIT_CONFIG
+
     def point(geo):
         th = mechanics.spin_threshold(cfg.particle, cfg.surface, geo,
                                       cfg.quad, environment=cfg.effective_env)

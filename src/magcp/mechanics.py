@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .asymptotics import RegimeViolation, _check_nr
@@ -61,20 +61,20 @@ class Equilibrium:
 
 _MODE_COMPONENTS = {"ground": ("electric", "magnetic", "static"),
                     "excited0": ("electric", "excited0")}
+_REL_STEP = 1e-4  # finite-difference step, relative to z
 
 
 def _potential_slope(name: str, particle: ParticleSpec,
                      surface: SurfaceModel, geometry: Geometry,
-                     quad: QuadratureConfig, finite_difference: bool,
-                     rel_step: float = 1e-4):
+                     quad: QuadratureConfig, finite_difference: bool):
     """(d/dz_tilde of one component, converged), analytic or central
-    difference of the potentials at z*(1 +- rel_step)."""
+    difference of the potentials at z*(1 +- _REL_STEP)."""
     if not finite_difference:
         du, res = component(name, particle, surface, geometry, quad,
                             deriv=True)
         return du, res.converged
     zt = geometry.z_tilde(particle)
-    h = rel_step * zt
+    h = _REL_STEP * zt
     u_p, res_p = component(name, particle, surface,
                            Geometry((zt + h) / particle.k_e), quad)
     u_m, res_m = component(name, particle, surface,
@@ -239,7 +239,7 @@ def spin_threshold(particle: ParticleSpec, surface: SurfaceModel,
     thresholds are the positive roots of B*S^2 + (A+G)*S + C (with the
     static term) and (A+G)*S + C (without it); inf when none exists.
     """
-    fb = force_breakdown(particle.with_spin(1.0), surface, geometry, quad,
+    fb = force_breakdown(replace(particle, spin=1.0), surface, geometry, quad,
                          environment=environment)
     lin = fb.f_m_minus + fb.f_gravity
     return SpinThresholds(

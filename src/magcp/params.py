@@ -9,7 +9,7 @@ the electric-dipole transition and k_e = omega_e/c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import constants as sc
 
@@ -44,17 +44,18 @@ class ParticleSpec:
     """Point particle with one electric-dipole transition and a large spin.
 
     Frequencies are angular (rad/s); ``dipole_moment`` is in C*m.  The
-    constructor validates its inputs, resolves ``m_s=None`` to the
-    stretched sublevel -spin, and derives ``eta``, ``omega_tilde``, ``k_e``
-    and ``gamma_0_free``, the dipole's free-space rate: the one Gamma0 of
-    every dimensionless unit and of ``eta``'s normalisation.
+    constructor validates its inputs and derives ``eta``, ``omega_tilde``,
+    ``k_e`` and ``gamma_0_free``, the dipole's free-space rate: the one
+    Gamma0 of every dimensionless unit and of ``eta``'s normalisation.
+    The spin sublevel is not a property of the particle: each result that
+    depends on it chooses it (``mode`` for shifts and forces, ``m_s`` for
+    the spin-flip rate).
     """
 
     omega_e: float
     omega_m: float
     dipole_moment: float
     spin: float
-    m_s: float | None = None
     mass_per_spin: float = M_U
     gyro_ratio: float = GYRO_ELECTRON
     gamma_0_free: float = field(init=False)  # ED free-space rate, rad/s
@@ -76,12 +77,7 @@ class ParticleSpec:
             raise HierarchyViolation(
                 f"omega_m = {self.omega_m} >= omega_e = {self.omega_e}; the "
                 "intermediate distance regime needs omega_m << omega_e")
-        m_s = -self.spin if self.m_s is None else self.m_s
-        if not abs(m_s) <= self.spin + 1e-12:
-            raise SublevelOutOfRange(
-                f"|m_s| = {abs(m_s)} exceeds spin = {self.spin}")
         for name, val in (
-                ("m_s", m_s),
                 ("gamma_0_free",
                  gamma0_from_dipole(self.dipole_moment, self.omega_e)),
                 ("eta", eta_from_dipole(self.dipole_moment, self.gyro_ratio)),
@@ -92,11 +88,6 @@ class ParticleSpec:
     @property
     def mass(self) -> float:
         return self.spin * self.mass_per_spin
-
-    def with_spin(self, spin: float, m_s: float | None = None) -> "ParticleSpec":
-        """Same particle with a different spin (used by threshold solving);
-        m_s=None is the stretched sublevel -spin."""
-        return replace(self, spin=spin, m_s=m_s)
 
 
 @dataclass(frozen=True)
@@ -142,35 +133,30 @@ def build_particle(
     spin: float,
     dipole_moment: float | None = None,
     dipole_moment_au: float | None = None,
-    m_s: float | None = None,
     mass_per_spin: float = M_U,
     gyro_ratio: float = GYRO_ELECTRON,
     gamma_0: float | None = None,
-    gamma_0_in_hz: bool = False,
 ) -> ParticleSpec:
     """A ParticleSpec from inputs in the units a source quotes.
 
     The dipole moment is given either in SI (``dipole_moment``, C*m) or in
     atomic units of e*a0 (``dipole_moment_au``).  ``gamma_0``, when given,
-    is a quoted Gamma0, checked and never used: read as an angular rate
-    unless ``gamma_0_in_hz`` is set (the source quotes a rate in MHz
-    without fixing the convention), it is refused more than 5 % from the
-    dipole's free-space rate, which is Gamma0.
+    is a quoted Gamma0 in rad/s, checked and never used: it is refused
+    more than 5 % from the dipole's free-space rate, which is Gamma0.
     """
     if (dipole_moment is None) == (dipole_moment_au is None):
         raise ValueError("give exactly one of dipole_moment, dipole_moment_au")
     if dipole_moment is None:
         dipole_moment = dipole_moment_au * E_A0
-    particle = ParticleSpec(omega_e, omega_m, dipole_moment, spin, m_s,
+    particle = ParticleSpec(omega_e, omega_m, dipole_moment, spin,
                             mass_per_spin, gyro_ratio)
     if gamma_0 is not None:
-        quote = 2 * math.pi * gamma_0 if gamma_0_in_hz else gamma_0
-        if not 0 < quote < math.inf:
+        if not 0 < gamma_0 < math.inf:
             raise NonPositiveInput(
-                f"gamma_0 must be positive and finite, got {quote}")
-        if abs(quote / particle.gamma_0_free - 1.0) > 0.05:
+                f"gamma_0 must be positive and finite, got {gamma_0}")
+        if abs(gamma_0 / particle.gamma_0_free - 1.0) > 0.05:
             raise ValueError(
-                f"gamma_0 = {quote:.4g} rad/s is more than 5 % from the "
+                f"gamma_0 = {gamma_0:.4g} rad/s is more than 5 % from the "
                 f"dipole's free-space rate {particle.gamma_0_free:.4g} "
                 "rad/s, which is Gamma0")
     return particle

@@ -45,7 +45,7 @@ from .materials import (
     fresnel_static_limit,
     permittivity_real_freq,
 )
-from .params import Geometry, ParticleSpec
+from .params import Geometry, ParticleSpec, SublevelOutOfRange
 from .quadrature import (
     IntegralResult,
     QuadratureConfig,
@@ -400,21 +400,17 @@ def _exp_e1(z: complex) -> complex:
     return total
 
 
-def _surface_pole(surface: SurfaceModel, omega: float,
-                  swap_polarizations: bool,
+def _surface_pole(eps: complex, swap_polarizations: bool,
                   deriv: int) -> tuple[complex, complex] | None:
     """(v0, C) of the surface-plasmon pole term C/(v - v0) of the
-    evanescent bracket, or None when Re(eps) >= -1 (no pole near the
-    real axis) or the surface is a perfect conductor.
+    evanescent bracket of a surface of permittivity eps, or None when
+    Re(eps) >= -1 (no pole near the real axis).
 
     r_p has its pole at v0 = 1/sqrt(-(eps+1)), where eps*v + kappa_2
     vanishes, with residue R = 2 eps^2 v0/(eps^2 - 1).  C = R v0^2 when
     r_p carries the v^2 weight (electric swap), C = R otherwise, and the
     z-derivative factor (-v)^deriv contributes (-v0)^deriv.
     """
-    if isinstance(surface, PerfectConductor):
-        return None
-    eps = complex(permittivity_real_freq(surface, omega))
     if eps.real >= -1.0:
         return None
     v0 = 1.0 / cmath.sqrt(-(eps + 1.0))
@@ -469,7 +465,19 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, a: float,
             out *= (1j * u) ** deriv
         return out
 
-    pole = _surface_pole(surface, omega, swap_polarizations, deriv)
+    breakpoints, splits, pole, add_back = (), (), None, 0.0
+    if not isinstance(surface, PerfectConductor):
+        eps = complex(permittivity_real_freq(surface, omega))
+        v_s = math.sqrt(abs(eps - 1.0))
+        u_b = v_s / abs(eps)
+        if 0.0 < u_b < 0.25:
+            breakpoints = _ladder(u_b, 1.0)
+        if u_b > 0.0:
+            splits = _ladder(min(u_b, 1.0 / a), max(v_s, 1.0 / a))
+        pole = _surface_pole(eps, swap_polarizations, deriv)
+    if pole is not None:
+        splits += (pole[0].real,)
+        add_back = pole[1] * _exp_e1(-a * pole[0])
 
     def evanescent(v: np.ndarray) -> np.ndarray:
         pair = fresnel_real_freq_from_kappa(surface, v * k_omega, omega)
@@ -486,18 +494,6 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, a: float,
             out = out - decay * pole[1] / np.where(gap == 0, np.inf, gap)
         return np.asarray(out, dtype=complex)
 
-    breakpoints, splits, add_back = (), (), 0.0
-    if not isinstance(surface, PerfectConductor):
-        eps = complex(permittivity_real_freq(surface, omega))
-        v_s = math.sqrt(abs(eps - 1.0))
-        u_b = v_s / abs(eps)
-        if 0.0 < u_b < 0.25:
-            breakpoints = _ladder(u_b, 1.0)
-        if u_b > 0.0:
-            splits = _ladder(min(u_b, 1.0 / a), max(v_s, 1.0 / a))
-    if pole is not None:
-        splits += (pole[0].real,)
-        add_back = pole[1] * _exp_e1(-a * pole[0])
     cap = math.pi / a if a > 0 else None
     prop = integrate_finite(propagating, 0.0, 1.0, quad,
                             breakpoints=breakpoints, max_panel_width=cap)
@@ -578,11 +574,16 @@ def delta_gamma_m(particle: ParticleSpec, surface: SurfaceModel,
                   m_s: float | None = None, strict: bool = True):
     """Spin-flip rate correction for |S, m_S> -> |S, m_S - 1>, in Gamma0.
 
+    m_s chooses the sublevel; None is the stretched ground sublevel -S.
     Includes the matrix-element weight S(S+1) - m_S(m_S - 1); the bottom
     sublevel m_S = -S therefore gets exactly zero without quadrature.
+    Raises SublevelOutOfRange unless |m_S| <= S.
     """
     if m_s is None:
-        m_s = particle.m_s
+        m_s = -particle.spin
+    if not abs(m_s) <= particle.spin + 1e-12:  # also refuses nan and inf
+        raise SublevelOutOfRange(
+            f"|m_s| = {abs(m_s)} exceeds spin = {particle.spin}")
     weight = matrix_element_flip(particle.spin, m_s)
     if weight == 0.0:
         return 0.0, IntegralResult(0.0, 0.0, 0, True)

@@ -14,9 +14,9 @@ GOLD_OMEGA_P = 1.36e16
 GOLD_GAMMA = 1.0e14
 
 
-def make_particle(spin=100.0, m_s=None, omega_m=OMEGA_M, gamma_0=1.8e7):
+def make_particle(spin=100.0, omega_m=OMEGA_M, gamma_0=1.8e7):
     return build_particle(omega_e=OMEGA_E, omega_m=omega_m, spin=spin,
-                          m_s=m_s, dipole_moment_au=0.5, gamma_0=gamma_0)
+                          dipole_moment_au=0.5, gamma_0=gamma_0)
 
 
 def resonant_drude(p, q_factor=1e4, delta_p=-1e2):

@@ -183,7 +183,7 @@ def test_criterion_5_levitation_equilibria():
 
 
 def test_criterion_6_excited_state_closed_form():
-    p = make_particle(spin=3.0, m_s=0.0)
+    p = make_particle(spin=3.0)
     checks = []
     worst = 0.0
     for wzt in (1e-3, 1e-2, 0.1, 1.0, 10.0):
@@ -198,7 +198,7 @@ def test_criterion_6_excited_state_closed_form():
         / (64.0 * geo(p, 1e-3 / p.omega_tilde).z_tilde(p) ** 3)
     checks.append(("non-retarded limit to 1%", rel_dev(v, nr) < 0.01,
                    f"dev {rel_dev(v, nr):.2e}"))
-    p1 = make_particle(spin=1.0, m_s=0.0)
+    p1 = make_particle(spin=1.0)
     v1, _ = u_m_excited0(p1, PC, g, QUAD)
     ratio = v / v1
     checks.append(("S(S+1) scaling exact at S in {1, 3}",
@@ -227,7 +227,7 @@ def test_criterion_7_surface_resonance():
         surface_resonance_rate
     from magcp.materials import permittivity_real_freq
 
-    p = make_particle(spin=5.0, m_s=0.0)
+    p = make_particle(spin=5.0)
     q_factor, delta_p = 1e4, -1e2
     surface = resonant_drude(p, q_factor, delta_p)
     zt = 1.0
@@ -347,11 +347,12 @@ def test_criterion_9_spin_flip_rate_formula():
     eta S(S+1) wt^3/2, not the printed /3.  The same normalisation gives
     the electric contact limit -Gamma0 pinned in test_potentials.
     """
-    p = make_particle(spin=100.0, m_s=0.0)
+    p = make_particle(spin=100.0)
     vals = []
     for wzt in (1e-3, 1e-2):
         g = geo(p, wzt / p.omega_tilde)
-        v, _ = delta_gamma_m(p, PC, g, QUAD)
+        v, res = delta_gamma_m(p, PC, g, QUAD, m_s=0.0)
+        assert res.evaluations > 0
         vals.append(v)
     k_m = p.omega_m / sc.c
     m_sq = (sc.hbar * p.gyro_ratio) ** 2 * p.spin * (p.spin + 1.0) / 2.0

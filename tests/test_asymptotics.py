@@ -70,7 +70,8 @@ def test_electric_coefficient_gold_value():
     p = make_particle()
     c = coefficients(p, GOLD)
     assert c.c_e3 == pytest.approx(0.02835, rel=1e-3)
-    assert coefficients(p, PLASMA).c_e3 == pytest.approx(c.c_e3, rel=1e-12)
+    assert coefficients(p, PLASMA).c_e3 == pytest.approx(c.c_e3, rel=1e-12,
+                                                         abs=0.0)
 
 
 def test_plasma_magnetic_coefficient_exceeds_drude():
@@ -104,7 +105,8 @@ def test_far_field_electric_law_universal():
     for surface in (PC, GOLD, PLASMA):
         for region in (Region.II, Region.III):
             assert table1_potential(p, surface, g, region, "electric") == \
-                pytest.approx(-3.0 / (16.0 * math.pi * 500.0**4), rel=1e-12)
+                pytest.approx(-3.0 / (16.0 * math.pi * 500.0**4), rel=1e-12,
+                              abs=0.0)
 
 
 def test_nr_fresnel_expansion_matches_exact():
@@ -131,19 +133,19 @@ def _resonant_drude(p, q_factor, delta_p):
 
 
 def test_resonance_forms_agree_off_resonance():
-    p = make_particle(spin=5.0, m_s=0.0)
+    p = make_particle(spin=5.0)
     surface = _resonant_drude(p, 1e4, -1e2)
     g = geo(p, 1.0)
     eps_form = surface_resonance_potential(p, surface, g, form="epsilon")
     q_form = surface_resonance_potential(p, surface, g, form="q")
-    assert eps_form == pytest.approx(q_form, rel=1.5e-2)
+    assert eps_form == pytest.approx(q_form, rel=1.5e-2, abs=0.0)
     r_eps = surface_resonance_rate(p, surface, g, form="epsilon")
     r_q = surface_resonance_rate(p, surface, g, form="q")
-    assert r_eps == pytest.approx(r_q, rel=1.5e-2)
+    assert r_eps == pytest.approx(r_q, rel=1.5e-2, abs=0.0)
 
 
 def test_resonance_scales_as_q_over_detuning():
-    p = make_particle(spin=5.0, m_s=0.0)
+    p = make_particle(spin=5.0)
     g = geo(p, 1.0)
     u1 = surface_resonance_potential(p, _resonant_drude(p, 1e4, -1e2), g,
                                      form="q")
@@ -153,7 +155,7 @@ def test_resonance_scales_as_q_over_detuning():
 
 
 def test_resonance_regime_guards():
-    p = make_particle(spin=5.0, m_s=0.0)
+    p = make_particle(spin=5.0)
     with pytest.raises(RegimeViolation):
         # delta_p below unity violates the detuning hierarchy
         surface_resonance_potential(p, _resonant_drude(p, 1e4, 0.5),
@@ -208,15 +210,15 @@ def test_drude_region2_law_refused_near_skin_depth():
     law = table1_potential(p, GOLD, geo(p, 1e3), Region.II, "magnetic")
     assert law == pytest.approx(
         3.0 / 64.0 * p.eta * p.spin / 1e9
-        * (1.0 - 3.0 * skin_depth * p.k_e / 1e3), rel=1e-12)
+        * (1.0 - 3.0 * skin_depth * p.k_e / 1e3), rel=1e-12, abs=0.0)
 
 
 def test_resonance_epsilon_form_tracks_numerics():
     # the full real-frequency integral against the 1/z law, close to the
     # surface where the pole-emission channel is negligible
-    p = make_particle(spin=5.0, m_s=0.0)
+    p = make_particle(spin=5.0)
     surface = _resonant_drude(p, 1e4, -1e2)
     g = geo(p, 1.0)
     numeric, res = u_m_excited0(p, surface, g, QUAD, strict=False)
     law = surface_resonance_potential(p, surface, g, form="epsilon")
-    assert numeric == pytest.approx(law, rel=0.05)
+    assert numeric == pytest.approx(law, rel=0.05, abs=0.0)

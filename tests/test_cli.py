@@ -286,8 +286,8 @@ def test_potential_and_force_rows_match_library(tmp_path):
             for column, value in row.items():
                 if column in ("z_tilde", "converged") or value == "":
                     continue
-                assert float(value) == pytest.approx(expected[column],
-                                                     rel=1e-11), column
+                assert float(value) == pytest.approx(
+                    expected[column], rel=1e-11, abs=0.0), column
 
 
 FROZEN_DOC = base_doc(grid={"z_tilde": [0.3, 50.0]},
@@ -351,6 +351,9 @@ def particle(**over):
      "particle.gamma_0_in_hz"),
     ("force", base_doc(particle=particle(gamma_0_in_hz=True)), [],
      "gamma_0"),
+    ("force", base_doc(particle=particle(m_s=0)), [],
+     "unknown field particle.m_s"),
+    ("threshold", base_doc(), ["--mode", "excited0"], "mode"),
     ("potential", base_doc(particle=particle(spin="100")), [],
      "particle.spin"),
     ("potential", base_doc(particle=particle(spin=True)), [],
@@ -362,8 +365,8 @@ def particle(**over):
         "grid-flag-float-n", "omega_p-str", "drude-no-gamma",
         "particle-no-omega_e", "rel_tol-str",
         "tail-str", "max_subdivisions-float", "tail-400", "g-str", "g-inf", "surface-str",
-        "gravity-str", "static-str", "hz-str", "hz-quote-off", "spin-str", "spin-bool",
-        "doc-list"])
+        "gravity-str", "static-str", "hz-str", "hz-quote-off", "m_s-retired",
+        "threshold-excited0", "spin-str", "spin-bool", "doc-list"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, doc, flags,
                                   field):
     # a value of the wrong JSON type is refused, never coerced, and the

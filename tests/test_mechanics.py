@@ -1,6 +1,7 @@
 """Forces, levitation equilibria and repulsion thresholds."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -42,7 +43,7 @@ def test_force_components_signs():
     assert fb.f_m_z > 0.0
     assert fb.f_gravity < 0.0
     assert fb.f_total == pytest.approx(
-        fb.f_e + fb.f_m_minus + fb.f_m_z + fb.f_gravity, rel=1e-12)
+        fb.f_e + fb.f_m_minus + fb.f_m_z + fb.f_gravity, rel=1e-12, abs=0.0)
     assert fb.f_total_cp == pytest.approx(
         fb.f_total - fb.f_m_z, rel=1e-9)
 
@@ -100,7 +101,7 @@ def test_pc_forces_use_closed_forms(component_calls):
 
 
 def test_excited_mode_breakdown():
-    p = make_particle(spin=10.0, m_s=0.0)
+    p = make_particle(spin=10.0)
     fb = force_breakdown(p, PC, geo(p, 1.0), QUAD, mode="excited0")
     assert fb.f_m_excited0 is not None and fb.f_m_excited0 > 0.0
     assert fb.f_m_minus == 0.0 and fb.f_m_z == 0.0
@@ -175,16 +176,17 @@ def test_force_vanishes_at_thresholds():
         p = make_particle()
         g = geo(p, 0.3)
         th = spin_threshold(p, surface, g, quad)
-        at_s = force_breakdown(p.with_spin(th.with_static), surface, g, quad)
+        at_s = force_breakdown(replace(p, spin=th.with_static), surface, g,
+                               quad)
         scale = abs(at_s.f_e)
         assert abs(at_s.f_total) < 1e-9 * scale
-        at_s = force_breakdown(p.with_spin(th.without_static), surface, g,
-                               quad)
+        at_s = force_breakdown(replace(p, spin=th.without_static), surface,
+                               g, quad)
         assert abs(at_s.f_total_cp) < 1e-9 * scale
 
 
 def test_excited_two_term_force():
-    p = make_particle(spin=100.0, m_s=0.0)
+    p = make_particle(spin=100.0)
     g = geo(p, 1.0)
     approx = approx_total_force_excited(p, g)
     fb = force_breakdown(p, PC, g, QUAD, mode="excited0")

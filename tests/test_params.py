@@ -8,9 +8,10 @@ import scipy.constants as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magcp import Drude, ParticleSpec, Plasma, QuadratureConfig, \
-    build_particle, constants, from_dimensionless, \
-    gravity_force_dimensionless, to_dimensionless
+from magcp import Drude, ParticleSpec, PerfectConductor, Plasma, \
+    QuadratureConfig, build_particle, constants, decay_breakdown, \
+    delta_gamma_m, from_dimensionless, gravity_force_dimensionless, \
+    to_dimensionless
 from magcp.params import E_A0, EnvironmentSpec, Geometry, \
     HierarchyViolation, NonPositiveInput, SublevelOutOfRange, UnknownKind, \
     eta_from_dipole, gamma0_from_dipole
@@ -26,14 +27,14 @@ def test_reference_wavenumber():
 
 def test_frequency_ratio():
     p = make_particle()
-    assert p.omega_tilde == pytest.approx(1e-5, rel=1e-12)
+    assert p.omega_tilde == pytest.approx(1e-5, rel=1e-12, abs=0.0)
 
 
 def test_eta_equals_four_alpha_squared():
     # |d| = e a0 / 2 makes eta exactly (2 alpha)^2
     p = make_particle()
-    assert p.eta == pytest.approx(4.0 * sc.alpha**2, rel=1e-12)
-    assert p.eta == pytest.approx(2.1300541779078e-4, rel=1e-10)
+    assert p.eta == pytest.approx(4.0 * sc.alpha**2, rel=1e-12, abs=0.0)
+    assert p.eta == pytest.approx(2.1300541779078e-4, rel=1e-10, abs=0.0)
 
 
 def test_gamma0_from_dipole_definition():
@@ -56,26 +57,24 @@ def test_constants_are_scipy_codata():
 
 
 def test_gamma0_override_and_hz_switch():
-    # a quote overrides nothing, and the Hz switch converts it before the
-    # check: the dipole's rate quoted in Hz is accepted
+    # a quote overrides nothing, and the retired Hz switch is refused: a
+    # quote is in rad/s
     derived = gamma0_from_dipole(0.5 * E_A0, OMEGA_E)
-    p_rad = _particle(gamma_0=1.8e7)
-    p_hz = _particle(gamma_0=derived / (2.0 * math.pi), gamma_0_in_hz=True)
-    assert p_rad.gamma_0_free == p_hz.gamma_0_free == derived
-    with pytest.raises(ValueError, match="gamma_0"):
-        _particle(gamma_0=derived, gamma_0_in_hz=True)
+    assert _particle(gamma_0=1.8e7).gamma_0_free == derived
+    with pytest.raises(TypeError, match="gamma_0_in_hz"):
+        _particle(gamma_0=derived / (2.0 * math.pi), gamma_0_in_hz=True)
 
 
 def test_gamma0_quote_checked_against_dipole():
     # the test particle quotes 1.8e7 rad/s, 4.25 % below its dipole's
-    # rate; read in Hz the quote is about 6 times off
+    # rate; the same rate written in Hz is about 6 times off
     derived = gamma0_from_dipole(0.5 * E_A0, OMEGA_E)
     assert derived == pytest.approx(1.880e7, rel=1e-3)
     assert _particle(gamma_0=1.8e7).gamma_0_free == derived
-    for quote, in_hz in ((1.8e7, True), (0.94 * derived, False),
-                         (1.06 * derived, False), (-4.0, False)):
+    for quote in (derived / (2.0 * math.pi), 0.94 * derived,
+                  1.06 * derived, -4.0):
         with pytest.raises(ValueError, match="gamma_0"):
-            _particle(gamma_0=quote, gamma_0_in_hz=in_hz)
+            _particle(gamma_0=quote)
 
 
 def test_dimensionless_units_use_dipole_gamma0():
@@ -87,17 +86,27 @@ def test_dimensionless_units_use_dipole_gamma0():
 def test_eta_independent_of_gamma0_override():
     d = sc.e * sc.physical_constants["Bohr radius"][0] / 2.0
     assert make_particle().eta == pytest.approx(eta_from_dipole(d),
-                                                rel=1e-12)
+                                                rel=1e-12, abs=0.0)
+
+
+# the spin-flip rate is the one result that takes a sublevel
+FLIP_ARGS = (PerfectConductor(), Geometry(1e-9), QuadratureConfig())
 
 
 def test_default_sublevel_is_stretched_negative():
     p = make_particle(spin=7.0)
-    assert p.m_s == -7.0
+    value, res = delta_gamma_m(p, *FLIP_ARGS)
+    assert (value, res.evaluations) == (0.0, 0)
+    assert delta_gamma_m(p, *FLIP_ARGS, m_s=-7.0)[0] == 0.0
 
 
 def test_sublevel_bounds_enforced():
+    p = make_particle(spin=3.0)
+    for m_s in (7.0, 3.5, -3.5):
+        with pytest.raises(SublevelOutOfRange):
+            delta_gamma_m(p, *FLIP_ARGS, m_s=m_s)
     with pytest.raises(SublevelOutOfRange):
-        make_particle(spin=2.0, m_s=3.0)
+        decay_breakdown(p, *FLIP_ARGS, m_s=-5.0)
 
 
 def test_hierarchy_violation_rejected():
@@ -126,7 +135,9 @@ NON_FINITE_FIELDS = {
                                   NonPositiveInput)
        for name in ("omega_e", "omega_m", "dipole_moment_au",
                     "mass_per_spin", "gyro_ratio", "spin", "gamma_0")},
-    "build_particle.m_s": (lambda x: _particle(m_s=x), SublevelOutOfRange),
+    "delta_gamma_m.m_s": (lambda x: delta_gamma_m(make_particle(spin=3.0),
+                                                  *FLIP_ARGS, m_s=x),
+                          SublevelOutOfRange),
     "QuadratureConfig.rel_tol": (lambda x: QuadratureConfig(rel_tol=x),
                                  ValueError),
     "QuadratureConfig.abs_tol": (lambda x: QuadratureConfig(abs_tol=x),
@@ -164,7 +175,7 @@ BASE = {"omega_e": OMEGA_E, "omega_m": OMEGA_M, "spin": 3.0,
 
 
 # a gamma_0 quote is checked by build_particle and changes nothing
-@pytest.mark.parametrize("over", [{}, {"m_s": 2.0}, {"gamma_0": 1.8e7},
+@pytest.mark.parametrize("over", [{}, {"gyro_ratio": 1e11}, {"gamma_0": 1.8e7},
                                   {"mass_per_spin": 1e-26, "gyro_ratio": 1e11}])
 def test_particle_spec_derives_what_build_particle_did(over):
     spec = ParticleSpec(**BASE, **{k: v for k, v in over.items()
@@ -172,7 +183,6 @@ def test_particle_spec_derives_what_build_particle_did(over):
     built = build_particle(**BASE, **over)
     for f in dataclasses.fields(ParticleSpec):
         assert getattr(spec, f.name) == getattr(built, f.name), f.name
-    assert spec.m_s == over.get("m_s", -3.0)
     assert spec.gamma_0_free == gamma0_from_dipole(BASE["dipole_moment"],
                                                    OMEGA_E)
 
@@ -187,7 +197,14 @@ REFUSED = [(name, value)
 @pytest.mark.parametrize("name, value", REFUSED)
 def test_particle_spec_refuses_what_build_particle_refuses(name, value):
     # gamma_0_free is derived: build_particle refuses a bad quote of it
-    # (gamma_0) and ParticleSpec takes no value for it at all
+    # (gamma_0) and ParticleSpec takes no value for it at all.  m_s is
+    # retired: neither takes it, whatever its value
+    if name == "m_s":
+        with pytest.raises(TypeError):
+            build_particle(**{**BASE, name: value})
+        with pytest.raises(TypeError):
+            ParticleSpec(**{**BASE, name: value})
+        return
     derived = name == "gamma_0_free"
     arg = "gamma_0" if derived else name
     with pytest.raises(ValueError) as built:
@@ -204,24 +221,21 @@ def test_particle_spec_derived_fields_not_settable(name):
         ParticleSpec(**BASE, **{name: 1.0})
 
 
-def test_with_spin_keeps_gamma0_and_takes_stretched_sublevel():
-    p = make_particle(spin=100.0, m_s=7.0)
-    q = p.with_spin(1.0)
+def test_replaced_spin_keeps_derived_fields():
+    # spin_threshold takes its coefficients at dataclasses.replace(p,
+    # spin=1.0); every field derived from the dipole and the frequencies
+    # stays, and only the mass follows the spin
+    p = make_particle(spin=100.0)
+    q = dataclasses.replace(p, spin=1.0)
     assert q.gamma_0_free == p.gamma_0_free == \
         gamma0_from_dipole(p.dipole_moment, p.omega_e)
-    assert q.spin == 1.0 and q.m_s == -1.0
+    assert (q.eta, q.omega_tilde, q.k_e) == (p.eta, p.omega_tilde, p.k_e)
+    assert q.mass == p.mass / 100.0
 
 
 def test_mass_scales_with_spin():
     p = make_particle(spin=100.0)
-    assert p.mass == pytest.approx(100.0 * sc.atomic_mass, rel=1e-12)
-
-
-def test_with_spin_rescales_sublevel():
-    p = make_particle(spin=100.0)
-    q = p.with_spin(3.0)
-    assert q.spin == 3.0 and q.m_s == -3.0
-    assert q.omega_tilde == p.omega_tilde
+    assert p.mass == pytest.approx(100.0 * sc.atomic_mass, rel=1e-12, abs=0.0)
 
 
 def test_geometry_distance_example():
@@ -250,4 +264,4 @@ def test_conversion_round_trip(value, kind):
     p = make_particle()
     dimensionless = to_dimensionless(p, value, kind=kind)
     back = from_dimensionless(p, dimensionless, kind=kind)
-    assert back == pytest.approx(value, rel=1e-12)
+    assert back == pytest.approx(value, rel=1e-12, abs=0.0)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from magcp import Drude, Geometry, IntegralResult, PerfectConductor, \
     Plasma, QuadratureConfig, potentials
+from magcp.materials import permittivity_real_freq
 from magcp.mechanics import force_breakdown
 from magcp.potentials import (
     QuadratureFailure,
@@ -71,7 +72,7 @@ def test_drude_magnetic_against_independent_oracle():
     p = make_particle()
     val, res = u_m_ground_broadband(p, GOLD, geo(p, 1.0), QUAD)
     assert res.converged
-    assert val == pytest.approx(ORACLE_UM_DRUDE_Z1, rel=1e-8)
+    assert val == pytest.approx(ORACLE_UM_DRUDE_Z1, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("zt", [0.01, 1.0, 100.0])
@@ -82,8 +83,8 @@ def test_pc_double_matches_single_integral(zt):
     uec, _ = u_e_pc_closed(p, g, QUAD)
     um, _ = u_m_ground_broadband(p, PC, g, QUAD)
     umc, _ = u_m_pc_closed(p, g, QUAD)
-    assert ue == pytest.approx(uec, rel=1e-8)
-    assert um == pytest.approx(umc, rel=1e-8)
+    assert ue == pytest.approx(uec, rel=1e-8, abs=0.0)
+    assert um == pytest.approx(umc, rel=1e-8, abs=0.0)
 
 
 def test_sign_structure_pc():
@@ -124,7 +125,7 @@ def test_static_image_values_by_model():
     assert v_drude == 0.0
     v_pc, _ = u_m_static(p, PC, g, QUAD)
     assert v_pc == pytest.approx(
-        3.0 / 32.0 * p.eta * p.spin**2 / zt**3, rel=1e-12)
+        3.0 / 32.0 * p.eta * p.spin**2 / zt**3, rel=1e-12, abs=0.0)
     v_plasma, res = u_m_static(p, PLASMA, g, QUAD)
     assert res.converged
     assert 0.0 < v_plasma < v_pc
@@ -171,13 +172,13 @@ def test_electric_shift_spin_independent():
 
 
 def test_excited_closed_form_and_scaling():
-    p = make_particle(spin=3.0, m_s=0.0)
+    p = make_particle(spin=3.0)
     for wzt in (1e-3, 0.3, 10.0):
         g = geo(p, wzt / p.omega_tilde)
         v, res = u_m_excited0(p, PC, g, QUAD)
         assert res.converged
-        assert v == pytest.approx(u_m0_pc_closed(p, g), rel=1e-6)
-    p1 = make_particle(spin=1.0, m_s=0.0)
+        assert v == pytest.approx(u_m0_pc_closed(p, g), rel=1e-6, abs=0.0)
+    p1 = make_particle(spin=1.0)
     g = geo(p1, 0.05 / p1.omega_tilde)
     v1, _ = u_m_excited0(p1, PC, g, QUAD)
     v3, _ = u_m_excited0(p, PC, g, QUAD)
@@ -199,16 +200,16 @@ def test_stretched_ground_sublevel_does_not_flip():
 
 def test_spin_flip_rate_nonretarded_plateau():
     # for PC the near-zone flip rate is eta*S(S+1)*wt^3/2 per unit weight
-    p = make_particle(spin=5.0, m_s=0.0)
+    p = make_particle(spin=5.0)
     vals = []
     for wzt in (1e-3, 1e-2):
         g = geo(p, wzt / p.omega_tilde)
-        v, res = delta_gamma_m(p, PC, g, QUAD)
-        assert res.converged
+        v, res = delta_gamma_m(p, PC, g, QUAD, m_s=0.0)
+        assert res.converged and res.evaluations > 0
         vals.append(v)
     expected = p.eta * p.spin * (p.spin + 1.0) * p.omega_tilde**3 / 2.0
-    assert vals[0] == pytest.approx(expected, rel=1e-4)
-    assert vals[1] == pytest.approx(vals[0], rel=1e-3)
+    assert vals[0] == pytest.approx(expected, rel=1e-4, abs=0.0)
+    assert vals[1] == pytest.approx(vals[0], rel=1e-3, abs=0.0)
 
 
 def test_electric_rate_contact_and_far_limits():
@@ -225,7 +226,7 @@ def test_breakdown_totals_consistent():
     g = geo(p, 1.5)
     bd = potential_breakdown(p, PC, g, QUAD)
     assert bd.total_ground == pytest.approx(
-        bd.u_e_minus + bd.u_m_minus + bd.u_m_z, rel=1e-12)
+        bd.u_e_minus + bd.u_m_minus + bd.u_m_z, rel=1e-12, abs=0.0)
     assert bd.u_m_excited0 is None
     db = decay_breakdown(p, PC, g, QUAD)
     assert db.delta_gamma_m == 0.0  # stretched sublevel
@@ -248,7 +249,7 @@ def test_pc_breakdown_uses_closed_forms(component_calls):
     assert bd.u_e_minus == pytest.approx(u_e_ground(p, PC, g, QUAD)[0],
                                          rel=1e-9)
     assert bd.u_m_minus == pytest.approx(
-        u_m_ground_broadband(p, PC, g, QUAD)[0], rel=1e-9)
+        u_m_ground_broadband(p, PC, g, QUAD)[0], rel=1e-9, abs=0.0)
 
 
 def test_strict_mode_raises_on_impossible_tolerance():
@@ -270,7 +271,7 @@ def test_evaluator_results_in_value_units(surface):
     # each quadrature evaluator returns the IntegralResult of the value
     # it prints, as the closed forms do: that value, and the integral's
     # error estimate times |prefactor|, taken after Re or Im
-    p = make_particle(m_s=0.0)
+    p = make_particle()
     g = geo(p, 1.0)
     q = QuadratureConfig(rel_tol=1e-6)
     j_m = _resonant_j(p, surface, g, q)
@@ -284,16 +285,17 @@ def test_evaluator_results_in_value_units(surface):
         (u_m_ground_broadband(p, surface, g, q), double["magnetic"], None),
         (u_m_static(p, surface, g, q), None, None),
         (u_m_excited0(p, surface, g, q), j_m, "real"),
-        (delta_gamma_m(p, surface, g, q), j_m, "imag"),
+        (delta_gamma_m(p, surface, g, q, m_s=0.0), j_m, "imag"),
         (delta_gamma_e(p, surface, g, q), j_e, "imag"),
     ]
     for (value, res), raw, part in cases:
         assert res.value == value
         assert res.converged
         if raw is not None:
+            assert value != 0.0 and res.evaluations > 0
             size = raw.value if part is None else getattr(raw.value, part)
             assert res.error_estimate == pytest.approx(
-                abs(value / size) * raw.error_estimate, rel=1e-12)
+                abs(value / size) * raw.error_estimate, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("zt", [1e-4, 1e-2, 1e3])
@@ -429,7 +431,7 @@ def _m0_pc_mpmath(p, zt, deriv):
 
 @pytest.mark.parametrize("wzt", [1e-3, 0.3, 10.0, 300.0])
 def test_pc_excited0_slope(wzt):
-    p = make_particle(spin=3.0, m_s=0.0)
+    p = make_particle(spin=3.0)
     g = geo(p, wzt / p.omega_tilde)
     zt = g.z_tilde(p)
     for deriv in (False, True):
@@ -442,7 +444,8 @@ def test_pc_excited0_slope(wzt):
     tight = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
     ref, res = u_m_excited0(p, PC, g, tight, deriv=True)
     assert res.converged
-    assert u_m0_pc_closed(p, g, deriv=True) == pytest.approx(ref, rel=1e-9)
+    assert u_m0_pc_closed(p, g, deriv=True) == pytest.approx(ref, rel=1e-9,
+                                                             abs=0.0)
 
 
 def test_pc_components_run_no_quadrature(monkeypatch):
@@ -452,7 +455,7 @@ def test_pc_components_run_no_quadrature(monkeypatch):
     for name in ("integrate_finite", "integrate_semi_infinite",
                  "integrate_nested"):
         monkeypatch.setattr(potentials, name, refuse)
-    p = make_particle(spin=10.0, m_s=0.0)
+    p = make_particle(spin=10.0)
     g = geo(p, 0.7)
     for mode, fd in itertools.product(("ground", "excited0"), (False, True)):
         assert force_breakdown(p, PC, g, QUAD, mode=mode,
@@ -500,14 +503,15 @@ def test_pole_add_back_matches_mpmath(swap, deriv, a_v0):
     omega = p.omega_e if swap else p.omega_m
     # Drude: v0 complex, just above the real axis; the closed form holds
     # as it is
-    v0, c = _surface_pole(GOLD, omega, swap, deriv)
+    v0, c = _surface_pole(permittivity_real_freq(GOLD, omega), swap, deriv)
     assert v0.imag > 0.0
     a = a_v0 / abs(v0)
     ref = _pole_term_quad(c, mpmath.mpc(v0.real, v0.imag), a)
-    assert c * _exp_e1(-a * v0) == pytest.approx(ref, rel=1e-12)
+    assert c * _exp_e1(-a * v0) == pytest.approx(ref, rel=1e-12, abs=0.0)
     # plasma: v0 real; the add-back is the limit of a pole lifted by
     # +i*delta, whose gap closes linearly in delta
-    v0, c = _surface_pole(PLASMA, omega, swap, deriv)
+    v0, c = _surface_pole(permittivity_real_freq(PLASMA, omega), swap,
+                          deriv)
     assert v0.imag == 0.0
     a = a_v0 / abs(v0)
     add_back = c * _exp_e1(-a * v0)
@@ -563,8 +567,8 @@ def test_unattainable_tolerance_at_the_real_pole_is_flagged():
     assert not res.converged
 
 
-P_RES = make_particle(spin=5.0, m_s=0.0)
-P_SLOW = make_particle(spin=5.0, m_s=0.0, omega_m=1e-8 * OMEGA_E)
+P_RES = make_particle(spin=5.0)
+P_SLOW = make_particle(spin=5.0, omega_m=1e-8 * OMEGA_E)
 
 
 @pytest.fixture
@@ -605,9 +609,12 @@ def test_real_frequency_calls_finite(surface, initial_panels):
     for particle, zt in itertools.product((P_RES, P_SLOW),
                                           np.logspace(-4.0, 3.0, 8)):
         g = geo(particle, zt)
+        rate, res = delta_gamma_m(particle, surface, g, q, m_s=0.0,
+                                  strict=False)
+        assert rate != 0.0 and res.evaluations > 0, zt
         for value, _ in (
                 delta_gamma_e(particle, surface, g, q, strict=False),
-                delta_gamma_m(particle, surface, g, q, strict=False),
+                (rate, res),
                 u_m_excited0(particle, surface, g, q, strict=False),
                 u_m_excited0(particle, surface, g, q, deriv=True,
                              strict=False)):
@@ -637,12 +644,13 @@ def test_near_contact_resonant_integrals_converge():
     surface = resonant_drude(P_RES)
     for zt in (1e-4, 1e-3, 0.01, 0.03):
         g = geo(P_RES, zt)
-        for _, res in (
-                delta_gamma_m(P_RES, surface, g, q, strict=False),
+        for value, res in (
+                delta_gamma_m(P_RES, surface, g, q, m_s=0.0, strict=False),
                 u_m_excited0(P_RES, surface, g, q, strict=False),
                 u_m_excited0(P_RES, surface, g, q, deriv=True,
                              strict=False)):
             assert res.converged, zt
+            assert value != 0.0 and res.evaluations > 0, zt
 
 
 # J of _real_freq_integral from mpmath alone, by make_real_freq_oracle.py

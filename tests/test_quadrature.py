@@ -131,7 +131,7 @@ def _heap_semi_infinite(f, lower_limit, config, tail_scale=None,
 def test_finite_polynomial_exact():
     res = integrate_finite(lambda x: x**2, 0.0, 1.0, CFG)
     assert res.converged
-    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
 
 
 def test_finite_breakpoints_resolve_narrow_peak():
@@ -147,7 +147,8 @@ def test_finite_breakpoints_resolve_narrow_peak():
 def test_finite_oscillatory():
     res = integrate_finite(lambda x: np.cos(50.0 * x), 0.0, 1.0, CFG)
     assert res.converged
-    assert res.value == pytest.approx(math.sin(50.0) / 50.0, rel=1e-10)
+    assert res.value == pytest.approx(math.sin(50.0) / 50.0, rel=1e-10,
+                                      abs=0.0)
 
 
 def test_semi_infinite_exponential():
@@ -518,7 +519,7 @@ def test_result_addition_combines_budgets():
     b = IntegralResult(2.0, 1e-11, 30, False)
     c = a + b
     assert c.value == 3.0
-    assert c.error_estimate == pytest.approx(1.1e-10)
+    assert c.error_estimate == pytest.approx(1.1e-10, rel=1e-12, abs=0.0)
     assert c.evaluations == 45
     assert not c.converged
 
