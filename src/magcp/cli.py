@@ -252,7 +252,8 @@ def cmd_potential(cfg: JobConfig) -> int:
     def point(geo):
         bd = potentials.potential_breakdown(
             cfg.particle, cfg.surface, geo, cfg.quad,
-            include_excited0=(cfg.mode == "excited0"))
+            include_excited0=(cfg.mode == "excited0"),
+            include_static=cfg.include_static)
         return vars(bd), bd.converged
     return _sweep(cfg, ["z_tilde", "u_e_minus", "u_m_minus", "u_m_z",
                         "u_m_excited0", "total_ground", "converged"], point)
@@ -273,6 +274,11 @@ def cmd_threshold(cfg: JobConfig) -> int:
     if cfg.mode != "ground":
         sys.stderr.write(f"config error: mode: threshold solves for the "
                          f"ground state only, got {cfg.mode!r}\n")
+        return EXIT_CONFIG
+    if not cfg.include_static:
+        sys.stderr.write("config error: include_static: threshold always "
+                         "reports the spins with and without the static "
+                         "term, got false\n")
         return EXIT_CONFIG
 
     def point(geo):
@@ -302,7 +308,8 @@ def cmd_equilibrium(cfg: JobConfig) -> int:
 
 
 def cmd_validate(cfg: JobConfig) -> int:
-    """Cross-representation and asymptotic oracle checks, printed pass/fail."""
+    """Cross-representation and asymptotic oracle checks, one row each
+    with its deviation, tolerance and whether it passed."""
     particle = cfg.particle
     pc = PerfectConductor()
     checks: list[tuple[str, float, float]] = []  # name, deviation, tolerance
@@ -334,13 +341,11 @@ def cmd_validate(cfg: JobConfig) -> int:
     u0c = potentials.u_m0_pc_closed(particle, geo)
     checks.append(("excited-state closed form", abs(u0 / u0c - 1.0), 1e-6))
 
-    ok = True
-    for name, dev, tol in checks:
-        good = dev < tol
-        ok = ok and good
-        print(f"{'PASS' if good else 'FAIL'}  {name}: "
-              f"deviation {dev:.3e} (tolerance {tol:g})")
-    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+    rows = [{"check": name, "deviation": dev, "tolerance": tol,
+             "passed": dev < tol} for name, dev, tol in checks]
+    _emit(["check", "deviation", "tolerance", "passed"], rows, cfg)
+    return EXIT_OK if all(row["passed"] for row in rows) \
+        else EXIT_NOT_CONVERGED
 
 
 COMMANDS = {"potential": cmd_potential, "force": cmd_force,

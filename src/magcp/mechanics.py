@@ -6,10 +6,10 @@ sign (the only z-dependence of every integrand is an exponential).  Sign
 convention: +z points away from the surface, so repulsion is positive and
 gravity is negative.
 
-Every component goes through :func:`magcp.potentials.component`, which
-picks its representation (for the perfect conductor, the closed forms of
-every shift and slope); the analytic and the finite-difference force
-paths differ only in the deriv flag.
+Every component is read through the loop that potential_breakdown
+uses, so :func:`magcp.potentials.component` picks its representation
+(for the perfect conductor, the closed forms of every shift and slope)
+and the forces differ from the shifts only in the deriv flag.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .asymptotics import RegimeViolation, _check_nr
 from .materials import SurfaceModel
 from .params import EnvironmentSpec, Geometry, ParticleSpec, \
     gravity_force_dimensionless
-from .potentials import component
+from .potentials import _components
 from .quadrature import QuadratureConfig
 
 log = logging.getLogger(__name__)
@@ -61,49 +61,27 @@ class Equilibrium:
 
 _MODE_COMPONENTS = {"ground": ("electric", "magnetic", "static"),
                     "excited0": ("electric", "excited0")}
-_REL_STEP = 1e-4  # finite-difference step, relative to z
-
-
-def _potential_slope(name: str, particle: ParticleSpec,
-                     surface: SurfaceModel, geometry: Geometry,
-                     quad: QuadratureConfig, finite_difference: bool):
-    """(d/dz_tilde of one component, converged), analytic or central
-    difference of the potentials at z*(1 +- _REL_STEP)."""
-    if not finite_difference:
-        du, res = component(name, particle, surface, geometry, quad,
-                            deriv=True)
-        return du, res.converged
-    zt = geometry.z_tilde(particle)
-    h = _REL_STEP * zt
-    u_p, res_p = component(name, particle, surface,
-                           Geometry((zt + h) / particle.k_e), quad)
-    u_m, res_m = component(name, particle, surface,
-                           Geometry((zt - h) / particle.k_e), quad)
-    return (u_p - u_m) / (2 * h), res_p.converged and res_m.converged
 
 
 def force_breakdown(particle: ParticleSpec, surface: SurfaceModel,
                     geometry: Geometry, quad: QuadratureConfig,
                     mode: str = "ground", include_static: bool = True,
                     environment: EnvironmentSpec = EnvironmentSpec(),
-                    finite_difference: bool = False) -> ForceBreakdown:
+                    ) -> ForceBreakdown:
     """All dimensionless force components (units hbar*Gamma0*k_e).
 
     f_total sums the mode's surface components and gravity; f_total_cp
-    additionally excludes the magnetostatic image component.  The
-    finite_difference flag swaps the analytic differentiation under the
-    integral for a central difference of the potentials (step 1e-4 z).
-    converged is true only when every integral behind the forces is.
+    additionally excludes the magnetostatic image component, and
+    include_static=False leaves it out of f_total too (u_m_static is not
+    called).  converged is true only when every integral behind the
+    forces is.
     """
     if mode not in _MODE_COMPONENTS:
         raise ValueError(f"mode must be ground or excited0, got {mode!r}")
-    slope = {"static": 0.0}  # what an excluded static term contributes
-    ok = True
-    for name in _MODE_COMPONENTS[mode]:
-        if name != "static" or include_static:
-            slope[name], good = _potential_slope(
-                name, particle, surface, geometry, quad, finite_difference)
-            ok = ok and good
+    names = tuple(name for name in _MODE_COMPONENTS[mode]
+                  if name != "static" or include_static)
+    slope, ok = _components(names, particle, surface, geometry, quad,
+                            deriv=True)
     f_g = gravity_force_dimensionless(particle, environment)
     f_e = -slope["electric"]
     if mode == "ground":

@@ -635,22 +635,35 @@ def component(name: str, particle: ParticleSpec, surface: SurfaceModel,
                      strict=False)
 
 
+def _components(names: tuple[str, ...], particle: ParticleSpec,
+                surface: SurfaceModel, geometry: Geometry,
+                quad: QuadratureConfig,
+                deriv: bool = False) -> tuple[dict[str, float], bool]:
+    """({name: value}, converged) of the named components, each from
+    component() in the order given; converged is true only when every
+    one is.  A static term left out of names reads 0.0."""
+    values = {"static": 0.0}
+    ok = True
+    for name in names:
+        values[name], res = component(name, particle, surface, geometry,
+                                      quad, deriv=deriv)
+        ok = ok and res.converged
+    return values, ok
+
+
 def potential_breakdown(particle: ParticleSpec, surface: SurfaceModel,
                         geometry: Geometry, quad: QuadratureConfig,
-                        include_excited0: bool = False) -> PotentialBreakdown:
-    args = (particle, surface, geometry, quad)
-    ue, res_e = component("electric", *args)
-    um, res_m = component("magnetic", *args)
-    uz, res_z = component("static", *args)
-    u0 = None
-    ok = res_e.converged and res_m.converged and res_z.converged
-    if include_excited0:
-        u0, res0 = component("excited0", *args)
-        ok = ok and res0.converged
+                        include_excited0: bool = False,
+                        include_static: bool = True) -> PotentialBreakdown:
+    """All dimensionless shifts (units hbar*Gamma0) at one distance;
+    include_static=False leaves u_m_static uncalled and u_m_z 0.0."""
+    names = ("electric", "magnetic") + ("static",) * include_static \
+        + ("excited0",) * include_excited0
+    u, ok = _components(names, particle, surface, geometry, quad)
     return PotentialBreakdown(
-        u_e_minus=ue, u_m_minus=um, u_m_z=uz,
-        total_ground=ue + um + uz,
-        u_m_excited0=u0,
+        u_e_minus=u["electric"], u_m_minus=u["magnetic"], u_m_z=u["static"],
+        total_ground=u["electric"] + u["magnetic"] + u["static"],
+        u_m_excited0=u.get("excited0"),
         converged=ok,
     )
 

@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from magcp import Drude, PerfectConductor, Plasma, QuadratureConfig, \
-    build_particle, potentials
+from magcp import Drude, Geometry, PerfectConductor, Plasma, \
+    QuadratureConfig, build_particle, potentials
 
 OMEGA_E = 2.0 * math.pi * 1.0e15
 OMEGA_M = 2.0 * math.pi * 1.0e10
@@ -80,3 +80,19 @@ def component_calls(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(potentials, name, counting)
     return counts
+
+
+FD_REL_STEP = 1e-4  # central-difference step, relative to z
+
+
+def fd_force(name, particle, surface, geometry, quad):
+    """Minus the central difference of potentials.component(name) at
+    z*(1 +- FD_REL_STEP): a force that does not differentiate under the
+    integral sign, to check the analytic one against."""
+    zt = geometry.z_tilde(particle)
+    h = FD_REL_STEP * zt
+    u_p, _ = potentials.component(name, particle, surface,
+                                  Geometry((zt + h) / particle.k_e), quad)
+    u_m, _ = potentials.component(name, particle, surface,
+                                  Geometry((zt - h) / particle.k_e), quad)
+    return -(u_p - u_m) / (2 * h)

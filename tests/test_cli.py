@@ -109,6 +109,9 @@ def test_json_format(tmp_path):
     assert strict_json(text)["rows"][0]["spin_without_static"] is None
     code, text = run(tmp_path, doc, "threshold")
     assert csv_rows(text)[0]["spin_without_static"] == "inf"
+    code, text = run(tmp_path, base_doc(), "validate", "--format", "json")
+    assert code == EXIT_OK
+    assert [row["passed"] for row in strict_json(text)["rows"]] == [True] * 3
 
 
 def test_grid_override(tmp_path):
@@ -230,8 +233,34 @@ def test_non_converged_row_exits_4(tmp_path, capsys, command):
 def test_validate_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc())
     assert main(["validate", "--config", cfg]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    rows = csv_rows(capsys.readouterr().out)
+    assert len(rows) == 3
+    assert all(row["passed"] == "true" for row in rows)
+
+
+def test_validate_writes_its_output_file(tmp_path, capsys):
+    code, text = run(tmp_path, base_doc(), "validate")
+    assert code == EXIT_OK
+    assert [row["passed"] for row in csv_rows(text)] == ["true"] * 3
+    assert capsys.readouterr().out == ""
+
+
+def test_potential_static_off(tmp_path, component_calls):
+    doc = base_doc(surface={"model": "plasma", "omega_p": 1.36e16},
+                   grid={"z_tilde": [0.1, 2.0]},
+                   quadrature={"rel_tol": 1e-6})
+    code, text = run(tmp_path, doc, "potential", "--static", "off")
+    assert code == EXIT_OK
+    assert component_calls == {"u_e_ground": 2, "u_m_ground_broadband": 2}
+    cfg = JobConfig(doc)
+    for row in csv_rows(text):
+        bd = potentials.potential_breakdown(
+            cfg.particle, cfg.surface,
+            Geometry(float(row["z_tilde"]) / cfg.particle.k_e), cfg.quad,
+            include_static=False)
+        assert bd.u_m_z == 0.0 and float(row["u_m_z"]) == 0.0
+        assert bd.total_ground == bd.u_e_minus + bd.u_m_minus
+        assert row["total_ground"] == format(bd.total_ground, ".12e")
 
 
 def test_static_and_mode_flags(tmp_path):
@@ -354,6 +383,7 @@ def particle(**over):
     ("force", base_doc(particle=particle(m_s=0)), [],
      "unknown field particle.m_s"),
     ("threshold", base_doc(), ["--mode", "excited0"], "mode"),
+    ("threshold", base_doc(), ["--static", "off"], "include_static"),
     ("potential", base_doc(particle=particle(spin="100")), [],
      "particle.spin"),
     ("potential", base_doc(particle=particle(spin=True)), [],
@@ -366,7 +396,7 @@ def particle(**over):
         "particle-no-omega_e", "rel_tol-str",
         "tail-str", "max_subdivisions-float", "tail-400", "g-str", "g-inf", "surface-str",
         "gravity-str", "static-str", "hz-str", "hz-quote-off", "m_s-retired",
-        "threshold-excited0", "spin-str", "spin-bool", "doc-list"])
+        "threshold-excited0", "threshold-static-off", "spin-str", "spin-bool", "doc-list"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, doc, flags,
                                   field):
     # a value of the wrong JSON type is refused, never coerced, and the

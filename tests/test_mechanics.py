@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from magcp import Drude, Geometry, PerfectConductor, Plasma, \
-    QuadratureConfig, asymptotics
+    QuadratureConfig, asymptotics, potentials
 from magcp.mechanics import (
     NoEquilibrium,
     RegimeViolation,
@@ -17,7 +17,8 @@ from magcp.mechanics import (
 )
 from magcp.params import EnvironmentSpec
 
-from conftest import GOLD_GAMMA, GOLD_OMEGA_P, make_particle
+from conftest import FD_REL_STEP, GOLD_GAMMA, GOLD_OMEGA_P, fd_force, \
+    make_particle
 
 # a tolerance the Drude double integrals cannot meet in 10 subdivisions
 QUAD_IMPOSSIBLE = QuadratureConfig(rel_tol=1e-15, abs_tol=0.0,
@@ -50,36 +51,39 @@ def test_force_components_signs():
 
 def test_analytic_vs_finite_difference_pc():
     p = make_particle(spin=100.0)
-    a = force_breakdown(p, PC, geo(p, 2.0), QUAD)
-    f = force_breakdown(p, PC, geo(p, 2.0), QUAD, finite_difference=True)
-    assert f.f_e == pytest.approx(a.f_e, rel=1e-4)
-    assert f.f_m_minus == pytest.approx(a.f_m_minus, rel=1e-4)
-    assert f.f_m_z == pytest.approx(a.f_m_z, rel=1e-4)
+    g = geo(p, 2.0)
+    a = force_breakdown(p, PC, g, QUAD)
+    for name, force in (("electric", a.f_e), ("magnetic", a.f_m_minus),
+                        ("static", a.f_m_z)):
+        assert fd_force(name, p, PC, g, QUAD) == pytest.approx(
+            force, rel=1e-4), name
 
 
 def test_analytic_vs_finite_difference_drude():
     p = make_particle(spin=100.0)
-    a = force_breakdown(p, GOLD, geo(p, 1.0), QUAD_FAST)
-    f = force_breakdown(p, GOLD, geo(p, 1.0), QUAD_FAST,
-                        finite_difference=True)
-    assert f.f_e == pytest.approx(a.f_e, rel=1e-4)
-    assert f.f_m_minus == pytest.approx(a.f_m_minus, rel=1e-4)
+    g = geo(p, 1.0)
+    a = force_breakdown(p, GOLD, g, QUAD_FAST)
+    for name, force in (("electric", a.f_e), ("magnetic", a.f_m_minus)):
+        assert fd_force(name, p, GOLD, g, QUAD_FAST) == pytest.approx(
+            force, rel=1e-4), name
 
 
 def test_finite_difference_reports_non_convergence():
     p = make_particle(spin=100.0)
-    for fd in (False, True):
-        fb = force_breakdown(p, GOLD, geo(p, 1.0), QUAD_IMPOSSIBLE,
-                             finite_difference=fd)
-        assert not fb.converged
+    g = geo(p, 1.0)
+    assert not force_breakdown(p, GOLD, g, QUAD_IMPOSSIBLE).converged
+    # and so do the potentials a central difference reads
+    for zt in (1.0 - FD_REL_STEP, 1.0 + FD_REL_STEP):
+        for name in ("electric", "magnetic"):
+            _, res = potentials.component(name, p, GOLD, geo(p, zt),
+                                          QUAD_IMPOSSIBLE)
+            assert not res.converged
 
 
 def test_force_mode_validation():
     p = make_particle()
-    for fd in (False, True):
-        with pytest.raises(ValueError):
-            force_breakdown(p, PC, geo(p, 1.0), QUAD, mode="bogus",
-                            finite_difference=fd)
+    with pytest.raises(ValueError):
+        force_breakdown(p, PC, geo(p, 1.0), QUAD, mode="bogus")
 
 
 def test_pc_forces_use_closed_forms(component_calls):
@@ -88,16 +92,8 @@ def test_pc_forces_use_closed_forms(component_calls):
     assert component_calls == {"u_e_pc_closed": 1, "u_m_pc_closed": 1,
                                "u_m_static": 1}
     component_calls.clear()
-    force_breakdown(p, PC, geo(p, 1.0), QUAD, finite_difference=True)
-    assert component_calls == {"u_e_pc_closed": 2, "u_m_pc_closed": 2,
-                               "u_m_static": 2}
-    component_calls.clear()
     force_breakdown(p, PC, geo(p, 1.0), QUAD, mode="excited0")
     assert component_calls == {"u_e_pc_closed": 1, "u_m0_pc_closed": 1}
-    component_calls.clear()
-    force_breakdown(p, PC, geo(p, 1.0), QUAD, mode="excited0",
-                    finite_difference=True)
-    assert component_calls == {"u_e_pc_closed": 2, "u_m0_pc_closed": 2}
 
 
 def test_excited_mode_breakdown():
