@@ -10,9 +10,9 @@ integrals in :mod:`magcp.potentials`.  Distance regimes:
   response, still non-retarded for the magnetic transition.
 * Region III: retarded for everything.
 
-A configurable margin factor keeps the classifier honest: when no strict
-inequality chain holds by the margin, the distance is a crossover and no
-tabulated law applies.
+A margin factor, CLASSIFY_MARGIN, keeps the classifier honest: when no
+strict inequality chain holds by the margin, the distance is a crossover
+and no tabulated law applies.
 
 Note on validity: the Drude Region II magnetic law is the perfect-conductor
 broadband law (3/64)*eta*S/z^3 times (1 - 3*delta_m/z0), where
@@ -37,6 +37,7 @@ from . import constants as sc
 from .materials import (
     Drude,
     FresnelPair,
+    NegativeFrequency,
     PerfectConductor,
     Plasma,
     SurfaceModel,
@@ -69,11 +70,15 @@ class Region(enum.Enum):
     CROSSOVER = "crossover"
 
 
+# factor by which each inequality of a region must hold
+CLASSIFY_MARGIN = 10.0
+# largest sqrt(eps - 1)*xi/(kappa*c) at which fresnel_nr_expansion applies
+NR_EXPANSION_LIMIT = 0.3
+
+
 def classify_region(particle: ParticleSpec, surface: SurfaceModel,
-                    geometry: Geometry, margin: float = 10.0) -> Region:
+                    geometry: Geometry) -> Region:
     """Distance regime of Table-type asymptotics, or CROSSOVER."""
-    if margin < 1:
-        raise ValueError(f"margin must be >= 1, got {margin}")
     z0 = geometry.z0
     scales_high = [sc.c / particle.omega_e]
     if isinstance(surface, (Drude, Plasma)):
@@ -81,11 +86,11 @@ def classify_region(particle: ParticleSpec, surface: SurfaceModel,
     l_short = min(scales_high)   # first scale to become retarded
     l_short_all = max(scales_high)
     l_m = sc.c / particle.omega_m
-    if z0 * margin < l_short:
+    if z0 * CLASSIFY_MARGIN < l_short:
         return Region.I
-    if l_short_all * margin < z0 and z0 * margin < l_m:
+    if l_short_all * CLASSIFY_MARGIN < z0 and z0 * CLASSIFY_MARGIN < l_m:
         return Region.II
-    if z0 > l_m * margin:
+    if z0 > l_m * CLASSIFY_MARGIN:
         return Region.III
     return Region.CROSSOVER
 
@@ -194,23 +199,26 @@ def table1_potential(particle: ParticleSpec, surface: SurfaceModel,
     return base * (math.pi * spin * zt * wt / 2.0 + 1.0)
 
 
-def fresnel_nr_expansion(surface: SurfaceModel, kappa_perp, xi: float,
-                         validity_threshold: float = 0.3) -> FresnelPair:
+def fresnel_nr_expansion(surface: SurfaceModel, kappa_perp,
+                         xi: float) -> FresnelPair:
     """Second-order near-field expansion of the imaginary-axis Fresnel pair.
 
     r_p ~ (eps-1)/(eps+1) - eps(eps-1)/(eps+1)^2 * xi^2/(kappa^2 c^2),
     r_s ~ -(1/4)(eps-1) * xi^2/(kappa^2 c^2).
-    Valid for sqrt(eps-1)*xi/(kappa*c) below the threshold.
+    Valid for xi > 0 and sqrt(eps-1)*xi/(kappa*c) below NR_EXPANSION_LIMIT.
     """
     if isinstance(surface, PerfectConductor):
         raise UnsupportedModel("expansion needs a finite permittivity")
+    # eps(0) is infinite and the expansion inf/inf; also refuses nan
+    if not np.all(np.asarray(xi, dtype=float) > 0):
+        raise NegativeFrequency(f"xi must be > 0, got {xi}")
     kappa_perp = np.asarray(kappa_perp, dtype=float)
     eps = permittivity_imag_axis(surface, xi)
     param = np.sqrt(eps - 1.0) * xi / (kappa_perp * sc.c)
-    if np.any(param >= validity_threshold):
+    if np.any(param >= NR_EXPANSION_LIMIT):
         raise ExpansionOutOfValidity(
             f"expansion parameter {np.max(param):.3g} exceeds "
-            f"{validity_threshold}")
+            f"{NR_EXPANSION_LIMIT}")
     ratio = (xi / (kappa_perp * sc.c)) ** 2
     r_p = (eps - 1.0) / (eps + 1.0) \
         - eps * (eps - 1.0) / (eps + 1.0) ** 2 * ratio

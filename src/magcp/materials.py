@@ -133,35 +133,29 @@ def _fresnel(chi, kappa_perp, contrast, kappa_2, den_can_vanish=False):
 
 
 def fresnel_imag_axis(model: SurfaceModel, kappa_perp, xi) -> FresnelPair:
-    """Reflection coefficients at imaginary frequency i*xi.
+    """Reflection coefficients at imaginary frequency i*xi, xi > 0.
 
     ``kappa_perp`` and ``xi`` may be scalars or arrays that broadcast
     against each other; the integration domain requires
-    kappa_perp >= xi/c.  Elements with xi = 0 take the analytic static
-    limit.
+    kappa_perp >= xi/c.  xi = 0 is refused: its limit is
+    fresnel_static_limit.
     """
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
-        raise NegativeFrequency(f"xi must be >= 0, got {xi}")
+    if not np.all(xi > 0):  # also refuses nan
+        raise NegativeFrequency(
+            f"xi must be > 0, got {xi}; the xi -> 0 limit is "
+            "fresnel_static_limit")
     kappa_perp = np.asarray(kappa_perp, dtype=float)
     if np.any(kappa_perp < xi / sc.c * (1.0 - 1e-12)):
         raise DomainViolation(
             f"kappa_perp = {kappa_perp!r} below xi/c = {xi / sc.c}")
-    static = xi == 0.0
     if isinstance(model, PerfectConductor):
         ones = np.ones(np.broadcast_shapes(kappa_perp.shape, xi.shape))
-        r_s, r_p = -ones, ones
-    else:
-        # chi = inf where xi = 0; those elements take the static limit
-        with np.errstate(divide="ignore", invalid="ignore"):
-            chi = _susceptibility(model, xi)
-            contrast = chi * (xi / sc.c) ** 2
-            r_s, r_p = _fresnel(chi, kappa_perp, contrast,
-                                np.sqrt(kappa_perp**2 + contrast))
-    if np.any(static):
-        limit = fresnel_static_limit(model, kappa_perp)
-        r_s = np.where(static, limit.r_s, r_s)
-        r_p = np.where(static, limit.r_p, r_p)
+        return FresnelPair(-ones, ones)
+    chi = _susceptibility(model, xi)
+    contrast = chi * (xi / sc.c) ** 2
+    r_s, r_p = _fresnel(chi, kappa_perp, contrast,
+                        np.sqrt(kappa_perp**2 + contrast))
     return FresnelPair(r_s, r_p)
 
 

@@ -59,6 +59,7 @@ class Equilibrium:
     converged: bool = True
 
 
+_BRENTQ_MIN_RTOL = 4.0 * math.ulp(1.0)  # brentq refuses a finer rtol
 _MODE_COMPONENTS = {"ground": ("electric", "magnetic", "static"),
                     "excited0": ("electric", "excited0")}
 
@@ -85,7 +86,9 @@ def force_breakdown(particle: ParticleSpec, surface: SurfaceModel,
     f_g = gravity_force_dimensionless(particle, environment)
     f_e = -slope["electric"]
     if mode == "ground":
-        f_m, f_z = -slope["magnetic"], -slope["static"]
+        f_m = -slope["magnetic"]
+        # a static term left out is a force of +0.0, not -0.0
+        f_z = -slope["static"] if include_static else 0.0
         return ForceBreakdown(
             f_e=f_e, f_m_minus=f_m, f_m_z=f_z, f_gravity=f_g,
             f_total=f_e + f_m + f_z + f_g,
@@ -137,10 +140,12 @@ def find_equilibrium(particle: ParticleSpec, surface: SurfaceModel,
                      include_static: bool = True,
                      bracket: tuple[float, float] = (0.5, 100.0),
                      environment: EnvironmentSpec = EnvironmentSpec(),
-                     rel_tol: float = 1e-6) -> Equilibrium:
+                     ) -> Equilibrium:
     """Root of the total dimensionless force over a z_tilde bracket.
 
     The bracket endpoints must straddle a sign change of the total force.
+    The root is found to quad.rel_tol, the tolerance of the forces it
+    zeroes, but no finer than brentq's floor of 4 eps.
     include_static=False balances only the Casimir-Polder parts against
     gravity (the f_total_cp convention).  Stability comes from the sign of
     the numerical force slope at the root.  converged is true only when
@@ -162,7 +167,7 @@ def find_equilibrium(particle: ParticleSpec, surface: SurfaceModel,
         # imported here: scipy.optimize loads scipy.linalg, sparse and
         # more, which nothing else in magcp needs
         from scipy.optimize import brentq
-        root = brentq(f, lo, hi, rtol=rel_tol)
+        root = brentq(f, lo, hi, rtol=max(quad.rel_tol, _BRENTQ_MIN_RTOL))
     h = 1e-3 * root
     slope = (f(root + h) - f(root - h)) / (2 * h)
     residual = f(root)

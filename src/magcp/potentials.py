@@ -153,13 +153,12 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
         breakpoints.add(surface.omega_p / omega_e)
     cfg = replace(quad,
                   split_points=tuple(sorted(b for b in breakpoints if b > 0)))
-    # The inner integral leaves an overall exp(-2*xi*z) envelope, so the
-    # outer support ends near xi = 1/(2*z) in both the near and far zones.
-    outer_scale = 1.0 / (2.0 * zt)
-    inner_scale = 1.0 / (2.0 * zt)
+    # The kappa integrand decays on 1/(2*z), and the inner integral leaves
+    # an exp(-2*xi*z) envelope: the outer support ends near xi = 1/(2*z).
+    envelope = 1.0 / (2.0 * zt)
     return integrate_nested(inner, 0.0, lambda xi_t: xi_t, cfg,
-                            outer_tail_scale=outer_scale,
-                            inner_tail_scale=lambda xi_t: inner_scale)
+                            outer_tail_scale=envelope,
+                            inner_tail_scale=envelope)
 
 
 def u_e_ground(particle: ParticleSpec, surface: SurfaceModel,
@@ -494,9 +493,9 @@ def _real_freq_integral(surface: SurfaceModel, omega: float, a: float,
             out = out - decay * pole[1] / np.where(gap == 0, np.inf, gap)
         return np.asarray(out, dtype=complex)
 
-    cap = math.pi / a if a > 0 else None
     prop = integrate_finite(propagating, 0.0, 1.0, quad,
-                            breakpoints=breakpoints, max_panel_width=cap)
+                            breakpoints=breakpoints,
+                            max_panel_width=math.pi / a)
     evan = integrate_semi_infinite(
         evanescent, 0.0, replace(quad, split_points=splits),
         tail_scale=1.0 / a)

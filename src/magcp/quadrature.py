@@ -300,27 +300,26 @@ def _semi_infinite_rows(f, lower, scale, config: QuadratureConfig,
 
 
 def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
-                            tail_scale: float | None = None) -> IntegralResult:
+                            tail_scale: float) -> IntegralResult:
     """Integrate f over [lower_limit, inf): one row of _semi_infinite_rows.
 
-    ``tail_scale`` s defaults to max(1, |a|) and should be set to the
-    decay scale of the integrand when known; the tail is cut at
-    x - a = s*10^tail_decades.  Each of ``config.split_points`` p becomes
-    the initial t-edge d/(s + d), d = max(p - a, 0).
+    ``tail_scale`` s is the decay scale of the integrand, which every
+    caller knows; the tail is cut at x - a = s*10^tail_decades.  Each of
+    ``config.split_points`` p becomes the initial t-edge d/(s + d),
+    d = max(p - a, 0).
     """
-    s = max(1.0, abs(lower_limit)) if tail_scale is None else tail_scale
-    if not s > 0:
-        raise ValueError(f"tail_scale must be positive, got {s}")
+    if not tail_scale > 0:
+        raise ValueError(f"tail_scale must be positive, got {tail_scale}")
     d = np.maximum(np.array(config.split_points or ()) - lower_limit, 0.0)
-    return _result(*_semi_infinite_rows(_one_row(f), [lower_limit], [s],
-                                        config, t_edges=d / (s + d)),
+    return _result(*_semi_infinite_rows(_one_row(f), [lower_limit],
+                                        [tail_scale], config,
+                                        t_edges=d / (tail_scale + d)),
                    config)
 
 
 def integrate_nested(inner_f, outer_lower: float, inner_lower,
-                     config: QuadratureConfig,
-                     outer_tail_scale: float | None = None,
-                     inner_tail_scale=None) -> IntegralResult:
+                     config: QuadratureConfig, outer_tail_scale: float,
+                     inner_tail_scale: float) -> IntegralResult:
     """Double integral over x in [outer_lower, inf), y in [inner_lower(x), inf).
 
     ``inner_f(x, y)`` evaluates the integrand.  The inner integrals of
@@ -328,13 +327,13 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     nodes of every initial outer panel, then the 30 of each outer
     bisection), so it is called with x of shape (n, 1) and y of shape
     (n, m), and must return shape (n, m); it must also accept a scalar x
-    with a 1-d y.  ``inner_lower`` is a
-    constant or a callable of x; ``inner_tail_scale`` likewise, or None.
-    A callable gets the 1-d array of outer nodes and returns an array of
-    that shape or a scalar.  Each inner integral starts from a ratio-4
-    grading through its tail scale s (edges s*4^k above its lower limit
-    for k = -2..2, the t-edges _INNER_T_EDGES) and from there bisects
-    as it would alone.
+    with a 1-d y.  ``inner_lower`` is a callable that gets the 1-d array
+    of outer nodes and returns the inner lower limits, an array of that
+    shape.  ``outer_tail_scale`` and ``inner_tail_scale`` are the decay
+    scales of the outer and inner integrands, positive floats.  Each
+    inner integral starts from a ratio-4 grading through its tail scale s
+    (edges s*4^k above its lower limit for k = -2..2, the t-edges
+    _INNER_T_EDGES) and from there bisects as it would alone.
     The error estimate conservatively adds the worst inner error, scaled
     by an effective outer extent, to the outer estimate.
     """
@@ -347,18 +346,11 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
                         abs_tol=config.abs_tol / 2.0)
     stats = {"evals": 0, "failed_at": None, "max_err": 0.0}
 
-    def per_node(v, xs):
-        """The constant or callable v at every outer node xs."""
-        return np.broadcast_to(np.asarray(v(xs) if callable(v) else v,
-                                          dtype=float), xs.shape)
-
     def outer_integrand(xs):
-        lower = per_node(inner_lower, xs)
-        scale = (np.maximum(1.0, np.abs(lower)) if inner_tail_scale is None
-                 else per_node(inner_tail_scale, xs))
         value, error, evals = _semi_infinite_rows(
-            lambda rows, y: inner_f(xs[rows, None], y), lower, scale,
-            inner_cfg, t_edges=_INNER_T_EDGES)
+            lambda rows, y: inner_f(xs[rows, None], y), inner_lower(xs),
+            np.full(xs.shape, inner_tail_scale), inner_cfg,
+            t_edges=_INNER_T_EDGES)
         converged = _converged(value, error, inner_cfg)
         stats["evals"] += int(evals.sum())
         stats["max_err"] = float(np.fmax.reduce(error,
@@ -373,7 +365,7 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     # of two conservative estimates over an effective outer extent of 10
     # decay scales: (a) worst observed inner error times the extent, and
     # (b) the inner tolerance promise inner_rel*|result| + inner_abs*extent.
-    extent = 10.0 * (outer_tail_scale if outer_tail_scale else 1.0)
+    extent = 10.0 * outer_tail_scale
     inner_bound = min(
         stats["max_err"] * extent,
         inner_cfg.rel_tol * abs(outer.value) + inner_cfg.abs_tol * extent,

@@ -9,6 +9,7 @@ import scipy.constants as sc
 from magcp import Drude, Geometry, PerfectConductor, Plasma, \
     QuadratureConfig
 from magcp.asymptotics import (
+    CLASSIFY_MARGIN,
     CrossoverRegion,
     ExpansionOutOfValidity,
     Region,
@@ -21,7 +22,7 @@ from magcp.asymptotics import (
     surface_resonance_rate,
     table1_potential,
 )
-from magcp.materials import fresnel_imag_axis
+from magcp.materials import NegativeFrequency, fresnel_imag_axis
 from magcp.potentials import u_e_pc_closed, u_m_excited0
 
 from conftest import GOLD_GAMMA, GOLD_OMEGA_P, make_particle
@@ -50,13 +51,10 @@ def test_region_ladder():
 
 
 def test_margin_widens_crossover():
+    # 10 nm would be Region I at a margin of 1, but not at the margin 10
     p = make_particle()
-    z0 = 1e-8
-    assert classify_region(p, GOLD, Geometry(z0), margin=1.0) is Region.I
-    assert classify_region(p, GOLD, Geometry(z0), margin=10.0) \
-        is Region.CROSSOVER
-    with pytest.raises(ValueError):
-        classify_region(p, GOLD, Geometry(z0), margin=0.5)
+    assert CLASSIFY_MARGIN == 10.0
+    assert classify_region(p, GOLD, Geometry(1e-8)) is Region.CROSSOVER
 
 
 def test_crossover_has_no_tabulated_law():
@@ -123,6 +121,14 @@ def test_nr_fresnel_expansion_validity_guard():
         fresnel_nr_expansion(GOLD, 1e5, 1e15)
     with pytest.raises(UnsupportedModel):
         fresnel_nr_expansion(PC, 1e8, 1e13)
+
+
+@pytest.mark.parametrize("surface", [GOLD, PLASMA])
+@pytest.mark.parametrize("xi", [0.0, -1e13, math.nan])
+def test_nr_fresnel_expansion_refuses_non_positive_xi(surface, xi):
+    # eps(0) is infinite, so the expansion would be inf/inf: NaN
+    with pytest.raises(NegativeFrequency):
+        fresnel_nr_expansion(surface, 1e8, xi)
 
 
 def _resonant_drude(p, q_factor, delta_p):

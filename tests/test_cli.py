@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -277,6 +278,24 @@ def test_static_and_mode_flags(tmp_path):
 
 def csv_rows(text):
     return list(csv.DictReader(text.splitlines()[1:]))
+
+
+@pytest.mark.parametrize("surface", [
+    {"model": "perfect_conductor"}, {"model": "plasma", "omega_p": 1.36e16}])
+def test_force_static_off_prints_positive_zero(tmp_path, surface):
+    # a static term left out is a force of +0.0, as potential prints u_m_z
+    doc = base_doc(surface=surface, grid={"z_tilde": [0.3, 50.0]},
+                   quadrature={"rel_tol": 1e-6})
+    code, text = run(tmp_path, doc, "force", "--static", "off")
+    assert code == EXIT_OK
+    assert [row["f_m_z"] for row in csv_rows(text)] == \
+        ["0.000000000000e+00"] * 2
+    code, text = run(tmp_path, doc, "force", "--static", "off",
+                     "--format", "json")
+    assert code == EXIT_OK
+    cells = [row["f_m_z"] for row in strict_json(text)["rows"]]
+    assert cells == [0.0, 0.0]
+    assert [math.copysign(1.0, cell) for cell in cells] == [1.0, 1.0]
 
 
 def test_threshold_rows_match_library(tmp_path):

@@ -113,7 +113,7 @@ def test_gravity_off_environment():
 def test_cp_only_equilibrium_matches_quarter_power_law():
     p = make_particle(spin=2e5)
     eq = find_equilibrium(p, PC, QUAD, include_static=False,
-                          bracket=(0.5, 50.0), rel_tol=1e-9)
+                          bracket=(0.5, 50.0))
     assert eq.stable
     assert eq.analytic_estimate == pytest.approx(2.9565, rel=1e-3)
     assert eq.z_tilde_eq == pytest.approx(eq.analytic_estimate, rel=0.10)

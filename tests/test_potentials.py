@@ -677,6 +677,47 @@ def test_real_freq_j_within_estimate_of_mpmath_oracle(rel_tol):
         assert abs(res.value - ref) <= res.error_estimate, row
 
 
+# D and S of the ground-state evaluators from mpmath alone, by
+# make_ground_oracle.py
+GROUND_ORACLE = json.loads(
+    (Path(__file__).parent / "ground_oracle.json").read_text())
+
+GROUND_EVALUATORS = {"electric": u_e_ground,
+                     "magnetic": u_m_ground_broadband, "static": u_m_static}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+def test_ground_state_within_estimate_of_mpmath_oracle(rel_tol):
+    # the table's inputs are the test particle's and gold's
+    table = GROUND_ORACLE
+    p = make_particle()
+    assert (table["omega_e"], table["omega_m"]) == (OMEGA_E, p.omega_m)
+    surfaces = {"drude": Drude(**table["surfaces"]["drude"]),
+                "plasma": Plasma(**table["surfaces"]["plasma"])}
+    assert surfaces == {"drude": GOLD, "plasma": PLASMA}
+    # the evaluators are these prefactors times the tabulated integrals
+    prefactor = {"electric": 3.0 / (8.0 * math.pi),
+                 "magnetic": 3.0 / (8.0 * math.pi) * p.omega_tilde * p.eta
+                 * p.spin,
+                 "static": -3.0 / 8.0 * p.eta * p.spin**2}
+    q = QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
+    assert len(table["rows"]) == 30
+    converged = 0
+    for row in table["rows"]:
+        value, res = GROUND_EVALUATORS[row["integral"]](
+            p, surfaces[row["surface"]], Geometry(row["z_tilde"] / p.k_e), q,
+            deriv=bool(row["deriv"]), strict=False)
+        ref = prefactor[row["integral"]] * float(row["value"])
+        if res.converged:
+            converged += 1
+            assert abs(value - ref) <= res.error_estimate, row
+    # 24 of 30 converge at either tolerance: at abs_tol 0 the electric
+    # shift and slope at z_tilde 1e-3 and the magnetic slope at 0.1 have
+    # an inner row deep in the outer tail whose value is subnormal, and
+    # rounding keeps it from its relative tolerance
+    assert converged >= 24
+
+
 def test_resonant_integrand_calls(monkeypatch):
     # Each integrand call costs ~190 us of overhead against well under
     # 1 us per point, so the time of a real-frequency integral follows

@@ -102,14 +102,13 @@ def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None):
     return IntegralResult(total, total_err, evals, converged)
 
 
-def _heap_semi_infinite(f, lower_limit, config, tail_scale=None,
-                        t_edges=()):
+def _heap_semi_infinite(f, lower_limit, config, tail_scale, t_edges=()):
     """integrate_semi_infinite as it was before it became one row of
     _semi_infinite_rows: its own mapping, split-point mapping and tail
     bound around _heap_finite.  ``t_edges`` are further initial edges in
     the mapped variable t, as _semi_infinite_rows takes them."""
     a = float(lower_limit)
-    s = float(tail_scale) if tail_scale is not None else max(1.0, abs(a))
+    s = float(tail_scale)
     span = 10.0 ** config.tail_decades
     t_max = span / (1.0 + span)
 
@@ -152,7 +151,8 @@ def test_finite_oscillatory():
 
 
 def test_semi_infinite_exponential():
-    res = integrate_semi_infinite(lambda x: np.exp(-x), 0.0, CFG)
+    res = integrate_semi_infinite(lambda x: np.exp(-x), 0.0, CFG,
+                                  tail_scale=1.0)
     assert res.converged
     assert res.value == pytest.approx(1.0, rel=1e-10)
 
@@ -169,19 +169,22 @@ def test_semi_infinite_power_law_tail_bound():
     # 1/(1+x^2) decays slowly; the truncation bound must keep the error
     # estimate honest, so demand agreement only within the reported error
     cfg = QuadratureConfig(tail_decades=10)
-    res = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x**2), 0.0, cfg)
+    res = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x**2), 0.0, cfg,
+                                  tail_scale=1.0)
     assert abs(res.value - math.pi / 2.0) <= max(res.error_estimate, 1e-8)
 
 
 def test_semi_infinite_gamma_function():
-    res = integrate_semi_infinite(lambda x: x**3 * np.exp(-x), 0.0, CFG)
+    res = integrate_semi_infinite(lambda x: x**3 * np.exp(-x), 0.0, CFG,
+                                  tail_scale=1.0)
     assert res.converged
     assert res.value == pytest.approx(6.0, rel=1e-9)
 
 
 def test_nested_triangle_exponential():
     # int_0^inf dx int_x^inf dy e^{-y} = 1
-    res = integrate_nested(lambda x, y: np.exp(-y), 0.0, lambda x: x, CFG)
+    res = integrate_nested(lambda x, y: np.exp(-y), 0.0, lambda x: x, CFG,
+                           outer_tail_scale=1.0, inner_tail_scale=1.0)
     assert res.converged
     assert res.value == pytest.approx(1.0, rel=1e-8)
 
@@ -196,13 +199,13 @@ def test_nested_triangle_weighted():
 
 
 def _per_node_nested(inner_f, outer_lower, inner_lower, config,
-                     outer_tail_scale=None, inner_tail_scale=None):
+                     outer_tail_scale, inner_tail_scale):
     """integrate_nested with one _heap_semi_infinite per outer node.
 
     The reference for the lockstep inner integrals and the batched outer
     panels: same budget split, same bookkeeping, the same graded initial
     inner panels, the heap core and a plain loop over the outer nodes.
-    ``inner_lower`` and ``inner_tail_scale`` must be callables.
+    ``inner_lower`` is a callable; the tail scales are floats.
     """
     inner_cfg = QuadratureConfig(
         rel_tol=config.rel_tol / 10.0, abs_tol=config.abs_tol / 10.0,
@@ -219,7 +222,7 @@ def _per_node_nested(inner_f, outer_lower, inner_lower, config,
         for i, x in enumerate(xs):
             res = _heap_semi_infinite(
                 lambda y: inner_f(x, y), inner_lower(x), inner_cfg,
-                tail_scale=inner_tail_scale(x), t_edges=_INNER_T_EDGES)
+                tail_scale=inner_tail_scale, t_edges=_INNER_T_EDGES)
             stats["evals"] += res.evaluations
             stats["max_err"] = max(stats["max_err"], res.error_estimate)
             if not res.converged and stats["failed_at"] is None:
@@ -229,7 +232,7 @@ def _per_node_nested(inner_f, outer_lower, inner_lower, config,
 
     outer = _heap_semi_infinite(outer_integrand, outer_lower, outer_cfg,
                                 tail_scale=outer_tail_scale)
-    extent = 10.0 * (outer_tail_scale if outer_tail_scale else 1.0)
+    extent = 10.0 * outer_tail_scale
     inner_bound = min(
         stats["max_err"] * extent,
         inner_cfg.rel_tol * abs(outer.value) + inner_cfg.abs_tol * extent)
@@ -279,8 +282,7 @@ def test_nested_matches_per_node_loop(f, config):
     batched = integrate_nested(f, 0.0, lambda x: x, config,
                                outer_tail_scale=1.0, inner_tail_scale=1.0)
     ref = _per_node_nested(f, 0.0, lambda x: x, config,
-                           outer_tail_scale=1.0,
-                           inner_tail_scale=lambda x: 1.0)
+                           outer_tail_scale=1.0, inner_tail_scale=1.0)
     assert batched.evaluations == ref.evaluations
     assert batched.converged == ref.converged
     assert batched.level == ref.level
@@ -420,10 +422,9 @@ def _kinked_power(x):
 @given(f=st.sampled_from([_kinked_decay, _kinked_power]),
        points=st.lists(st.one_of(st.floats(-5.0, 10.0),
                                  st.floats(1e6, 1e9)), max_size=5),
-       a=st.floats(-0.9, 3.0), scale=st.one_of(st.none(),
-                                                st.floats(0.1, 10.0)))
+       a=st.floats(-0.9, 3.0), scale=st.floats(0.1, 10.0))
 @example(f=_kinked_decay, points=[-4.0, 1.3, 2e8], a=0.0,
-         scale=None)                                # below a, past the cut
+         scale=1.0)                                 # below a, past the cut
 @example(f=_kinked_power, points=[0.5, 1.3, 1.3, 4.0], a=2.0, scale=0.5)
 @settings(max_examples=40, deadline=None)
 def test_semi_infinite_matches_heap_over_split_points(f, points, a, scale):
@@ -453,7 +454,8 @@ def test_one_integrand_call_per_step():
     assert [len(x) for x in calls] == [45] + [30] * subdivisions
     # integrate_semi_infinite makes one more call, for the tail bound
     f, calls = _recorded(lambda x: np.exp(-x) * np.sqrt(np.abs(x - 0.3)))
-    res = integrate_semi_infinite(f, 0.0, replace(CFG, split_points=(0.3,)))
+    res = integrate_semi_infinite(f, 0.0, replace(CFG, split_points=(0.3,)),
+                                  tail_scale=1.0)
     assert len(calls) == 1 + (res.evaluations - 1 - 2 * 15) // 30 + 1
 
 
@@ -465,7 +467,8 @@ def test_nested_batches_initial_outer_panels():
         return np.exp(-y)
 
     res = integrate_nested(f, 0.0, lambda x: x,
-                           replace(CFG, split_points=(0.5, 1.0, 2.0)))
+                           replace(CFG, split_points=(0.5, 1.0, 2.0)),
+                           outer_tail_scale=1.0, inner_tail_scale=1.0)
     assert res.converged
     # every inner row starts from its graded panels
     inner_panels = len(_INNER_T_EDGES) + 1
@@ -475,7 +478,8 @@ def test_nested_batches_initial_outer_panels():
 def test_nested_non_finite_inner_integrand_raises():
     f = lambda x, y: np.where(y > 3.0, np.nan, np.exp(-y))
     with pytest.raises(NonFiniteIntegrand, match=r"non-finite at x = "):
-        integrate_nested(f, 0.0, lambda x: x, CFG)
+        integrate_nested(f, 0.0, lambda x: x, CFG, outer_tail_scale=1.0,
+                         inner_tail_scale=1.0)
 
 
 def test_complex_integrand_supported():
@@ -507,8 +511,8 @@ def test_error_estimate_bounds_true_error():
 
 def test_results_are_deterministic():
     f = lambda x: np.exp(-x) / (1.0 + x**2)
-    r1 = integrate_semi_infinite(f, 0.0, CFG)
-    r2 = integrate_semi_infinite(f, 0.0, CFG)
+    r1 = integrate_semi_infinite(f, 0.0, CFG, tail_scale=1.0)
+    r2 = integrate_semi_infinite(f, 0.0, CFG, tail_scale=1.0)
     assert r1.value == r2.value
     assert r1.error_estimate == r2.error_estimate
     assert r1.evaluations == r2.evaluations
