@@ -87,8 +87,9 @@ def force_breakdown(particle: ParticleSpec, surface: SurfaceModel,
     f_e = -slope["electric"]
     if mode == "ground":
         f_m = -slope["magnetic"]
-        # a static term left out is a force of +0.0, not -0.0
-        f_z = -slope["static"] if include_static else 0.0
+        # a static slope of 0.0 (the term left out, or a Drude surface's,
+        # which has no static image) is a force of +0.0, not -0.0
+        f_z = 0.0 - slope["static"]
         return ForceBreakdown(
             f_e=f_e, f_m_minus=f_m, f_m_z=f_z, f_gravity=f_g,
             f_total=f_e + f_m + f_z + f_g,

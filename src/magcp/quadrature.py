@@ -50,8 +50,9 @@ _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 # QUADPACK's round-off floor on a panel's error, 50*eps*resabs, applies
 # where resabs exceeds tiny/(50*eps)
+_TINY = np.finfo(float).tiny
 _EPS50 = 50.0 * np.finfo(float).eps
-_RESABS_FLOOR = np.finfo(float).tiny / _EPS50
+_RESABS_FLOOR = _TINY / _EPS50
 
 # bisections the slot arrays of _adaptive_rows first make room for
 _FIRST_BISECTIONS = 8
@@ -114,6 +115,13 @@ class IntegralResult:
         )
 
 
+def _rule(y, w):
+    """The weighted sum of y over its last, 15-node axis, taken by
+    np.einsum: in the same order for every row whatever the batch, where
+    a BLAS product may change a row's last bit with the batch's size."""
+    return np.einsum("...k,k->...", y, w)
+
+
 def _panels(g, lo, hi):
     """G7/K15 estimates and QUADPACK-style error bounds of every panel
     [lo, hi] of shape (n, p), with one call of ``g``.
@@ -125,16 +133,18 @@ def _panels(g, lo, hi):
     half = 0.5 * (hi - lo)
     x = mid[..., None] + half[..., None] * _NODES
     y = np.asarray(g(x.reshape(len(x), -1))).reshape(x.shape)
-    finite = np.isfinite(y)
-    if not finite.all():
-        bad = x[~finite][0]
-        raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
-    k15 = half * np.add.reduce(_WEIGHTS_K * y, axis=-1)
-    g7 = half * np.add.reduce(_WEIGHTS_G * y, axis=-1)
-    resabs = half * np.add.reduce(_WEIGHTS_K * np.abs(y), axis=-1)
+    resabs = half * _rule(np.abs(y), _WEIGHTS_K)
+    # a non-finite value makes its panel's resabs non-finite; a finite
+    # resabs proves every value finite without a pass over all of y
+    if not np.isfinite(resabs).all():
+        finite = np.isfinite(y)
+        if not finite.all():
+            bad = x[~finite][0]
+            raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
+    k15 = half * _rule(y, _WEIGHTS_K)
+    g7 = half * _rule(y, _WEIGHTS_G)
     mean = k15 / (hi - lo)
-    resasc = half * np.add.reduce(_WEIGHTS_K * np.abs(y - mean[..., None]),
-                                  axis=-1)
+    resasc = half * _rule(np.abs(y - mean[..., None]), _WEIGHTS_K)
     err = np.abs(k15 - g7)
     scaled = (resasc != 0.0) & (err != 0.0)
     safe = np.where(scaled, resasc, 1.0)
@@ -294,9 +304,14 @@ def _semi_infinite_rows(f, lower, scale, config: QuadratureConfig,
     # Truncation bound for the discarded tail: for decay at least as fast
     # as 1/x^2 the remainder is bounded by |f(x_max)|*x_max; exponentially
     # decaying kernels contribute nothing here.
-    x_max = a + s * span
+    x_max = _tail_node(a, s, config)
     tail_bound = np.abs(np.asarray(f(np.arange(n), x_max))) * x_max
     return value, error + tail_bound[:, 0], evals + 1
+
+
+def _tail_node(lower, scale, config: QuadratureConfig):
+    """x_max = lower + scale*10^tail_decades, where the map cuts the tail."""
+    return lower + scale * 10.0 ** config.tail_decades
 
 
 def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
@@ -333,9 +348,13 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     scales of the outer and inner integrands, positive floats.  Each
     inner integral starts from a ratio-4 grading through its tail scale s
     (edges s*4^k above its lower limit for k = -2..2, the t-edges
-    _INNER_T_EDGES) and from there bisects as it would alone.
+    _INNER_T_EDGES) and from there bisects as it would alone.  The inner
+    integral at the outer tail node, for the outer tail bound, runs with
+    those of the initial outer panels.
     The error estimate conservatively adds the worst inner error, scaled
-    by an effective outer extent, to the outer estimate.
+    by an effective outer extent, to the outer estimate.  An inner
+    integral whose error is at most the smallest normal float (its
+    envelope has underflowed) counts as converged, also at abs_tol 0.
     """
     # Budget split: the outer pass targets half the requested tolerance and
     # the inner passes a tenth, so the conservative combined bound still
@@ -346,15 +365,33 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
                         abs_tol=config.abs_tol / 2.0)
     stats = {"evals": 0, "failed_at": None, "max_err": 0.0}
 
-    def outer_integrand(xs):
+    def inner_rows(xs):
         value, error, evals = _semi_infinite_rows(
             lambda rows, y: inner_f(xs[rows, None], y), inner_lower(xs),
             np.full(xs.shape, inner_tail_scale), inner_cfg,
             t_edges=_INNER_T_EDGES)
-        converged = _converged(value, error, inner_cfg)
+        # an error at most tiny is the rounding of an underflowed envelope
+        converged = _converged(value, error, inner_cfg) | (error <= _TINY)
         stats["evals"] += int(evals.sum())
         stats["max_err"] = float(np.fmax.reduce(error,
                                                 initial=stats["max_err"]))
+        return value, converged
+
+    # The outer tail bound asks for the inner row at x_max alone, after the
+    # last outer bisection: that row rides in the first call instead, with
+    # the initial outer panels, and the tail call, the only one of a single
+    # node, reads it back.
+    x_tail = _tail_node(outer_lower, outer_tail_scale, outer_cfg)
+
+    def outer_integrand(xs):
+        if "tail" not in stats:
+            value, converged = inner_rows(np.append(xs, x_tail))
+            stats["tail"] = value[-1:], converged[-1:]
+            value, converged = value[:-1], converged[:-1]
+        elif xs.size == 1:
+            value, converged = stats["tail"]
+        else:
+            value, converged = inner_rows(xs)
         if stats["failed_at"] is None and not converged.all():
             stats["failed_at"] = xs[np.argmin(converged)]
         return value

@@ -298,6 +298,19 @@ def test_force_static_off_prints_positive_zero(tmp_path, surface):
     assert [math.copysign(1.0, cell) for cell in cells] == [1.0, 1.0]
 
 
+def test_drude_force_prints_positive_zero_static(tmp_path):
+    # a Drude surface has no static image, so its static slope is 0.0 and
+    # f_m_z prints +0.0 with the static term on, never -0.0
+    doc = base_doc(surface={"model": "drude", "omega_p": 1.36e16,
+                            "gamma": 1e14},
+                   grid={"z_tilde": [1e-3, 0.3, 50.0]},
+                   quadrature={"rel_tol": 1e-6})
+    code, text = run(tmp_path, doc, "force")
+    assert code == EXIT_OK
+    assert [row["f_m_z"] for row in csv_rows(text)] == \
+        ["0.000000000000e+00"] * 3
+
+
 def test_threshold_rows_match_library(tmp_path):
     doc = base_doc(grid={"z_tilde": [0.1, 1.0]}, quadrature={"rel_tol": 1e-6})
     code, text = run(tmp_path, doc, "threshold", "--gravity", "off")

@@ -45,11 +45,12 @@ def _panel(f, a: float, b: float):
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)][0]
         raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
-    k15 = half * np.sum(_WEIGHTS_K * y)
-    g7 = half * np.sum(_WEIGHTS_G * y)
-    resabs = half * np.sum(_WEIGHTS_K * np.abs(y))
+    # the weighted sums in the order _panels takes them
+    k15 = half * np.einsum("k,k->", y, _WEIGHTS_K)
+    g7 = half * np.einsum("k,k->", y, _WEIGHTS_G)
+    resabs = half * np.einsum("k,k->", np.abs(y), _WEIGHTS_K)
     mean = k15 / (b - a)
-    resasc = half * np.sum(_WEIGHTS_K * np.abs(y - mean))
+    resasc = half * np.einsum("k,k->", np.abs(y - mean), _WEIGHTS_K)
     err = abs(k15 - g7)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
@@ -225,7 +226,9 @@ def _per_node_nested(inner_f, outer_lower, inner_lower, config,
                 tail_scale=inner_tail_scale, t_edges=_INNER_T_EDGES)
             stats["evals"] += res.evaluations
             stats["max_err"] = max(stats["max_err"], res.error_estimate)
-            if not res.converged and stats["failed_at"] is None:
+            underflowed = res.error_estimate <= np.finfo(float).tiny
+            if not (res.converged or underflowed) and \
+                    stats["failed_at"] is None:
                 stats["failed_at"] = x
             out[i] = res.value
         return out
@@ -328,6 +331,24 @@ def test_batched_panel_rule_matches_panel():
         ref_value, ref_error, _ = _panel(f, lo[i, j], hi[i, j])
         assert value[i, j] == pytest.approx(ref_value, rel=1e-15, abs=0.0)
         assert error[i, j] == pytest.approx(ref_error, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: (x - 0.3) / (1.0 + x * x),
+    lambda x: (x - 0.3) * (1.0 + 2.0j * x) / (1.0 + x * x),
+], ids=["real", "complex"])
+def test_panel_rule_rows_do_not_depend_on_batch(f):
+    # a row's estimates are the same bits in a batch of 1320 panels as
+    # alone (so no BLAS product, whose last bit follows the batch's size);
+    # the integrand is plain arithmetic, the same bits in any batch
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-2.0, 5.0, (440, 3))
+    hi = lo + rng.uniform(1e-3, 4.0, lo.shape)
+    value, error = _panels(f, lo, hi)
+    for i in range(len(lo)):
+        row_value, row_error = _panels(f, lo[i:i + 1], hi[i:i + 1])
+        assert value[i].tobytes() == row_value[0].tobytes()
+        assert error[i].tobytes() == row_error[0].tobytes()
 
 
 def _recorded(f):
@@ -460,19 +481,27 @@ def test_one_integrand_call_per_step():
 
 
 def test_nested_batches_initial_outer_panels():
-    shapes = []
+    calls = []
 
     def f(x, y):
-        shapes.append((np.shape(x), np.shape(y)))
+        calls.append((np.array(x), np.shape(y)))
         return np.exp(-y)
 
     res = integrate_nested(f, 0.0, lambda x: x,
-                           replace(CFG, split_points=(0.5, 1.0, 2.0)),
+                           replace(CFG, split_points=(1.0, 4.0, 16.0)),
                            outer_tail_scale=1.0, inner_tail_scale=1.0)
     assert res.converged
-    # every inner row starts from its graded panels
+    # the outer pass does not bisect, so there is one lockstep of inner
+    # rows, each from its graded panels, and one call for their tail
+    # bounds; the rows are the 15 nodes of each initial outer panel and
+    # the outer tail node x_max = 0 + 1*10^tail_decades, last
     inner_panels = len(_INNER_T_EDGES) + 1
-    assert shapes[0] == ((4 * 15, 1), (4 * 15, 15 * inner_panels))
+    assert [shape for _, shape in calls] == [(4 * 15 + 1, 15 * inner_panels),
+                                             (4 * 15 + 1, 1)]
+    x = calls[0][0]
+    assert x.shape == (4 * 15 + 1, 1)
+    assert x[-1, 0] == 10.0 ** CFG.tail_decades
+    assert (x[:-1, 0] < x[-1, 0]).all()
 
 
 def test_nested_non_finite_inner_integrand_raises():
