@@ -120,16 +120,20 @@ def _fresnel(chi, kappa_perp, contrast, kappa_2, den_can_vanish=False):
     denominator vanishes only at real frequency, at eps = 0 and normal
     incidence (r_p -> -1) or on a node at the lossless plasmon pole;
     den_can_vanish gives those elements r_p = -1 without dividing by 0.
+    kappa_2, an array of the full broadcast shape, is overwritten: each
+    step writes to an array of its own, as new ones cost page faults.
     """
-    total = kappa_perp + kappa_2
-    r_s = -contrast / total**2
-    chi_kappa = chi * kappa_perp
-    num_p = chi_kappa - contrast / total
-    den_p = chi_kappa + total
+    total = np.add(kappa_perp, kappa_2, out=kappa_2)
+    r_s = np.square(total, out=np.empty_like(total))
+    np.divide(-contrast, r_s, out=r_s)
+    chi_kappa = np.multiply(chi, kappa_perp, out=np.empty_like(total))
+    num_p = np.divide(contrast, total, out=np.empty_like(total))
+    np.subtract(chi_kappa, num_p, out=num_p)
+    den_p = np.add(chi_kappa, total, out=total)
     if not den_can_vanish:
-        return r_s, num_p / den_p
+        return r_s[()], np.divide(num_p, den_p, out=num_p)[()]
     zero = den_p == 0
-    return r_s, np.where(zero, -1.0, num_p / np.where(zero, 1.0, den_p))
+    return r_s[()], np.where(zero, -1.0, num_p / np.where(zero, 1.0, den_p))
 
 
 def fresnel_imag_axis(model: SurfaceModel, kappa_perp, xi) -> FresnelPair:
@@ -149,14 +153,16 @@ def fresnel_imag_axis(model: SurfaceModel, kappa_perp, xi) -> FresnelPair:
     if np.any(kappa_perp < xi / sc.c * (1.0 - 1e-12)):
         raise DomainViolation(
             f"kappa_perp = {kappa_perp!r} below xi/c = {xi / sc.c}")
+    shape = np.broadcast_shapes(kappa_perp.shape, xi.shape)
     if isinstance(model, PerfectConductor):
-        ones = np.ones(np.broadcast_shapes(kappa_perp.shape, xi.shape))
+        ones = np.ones(shape)
         return FresnelPair(-ones, ones)
     chi = _susceptibility(model, xi)
     contrast = chi * (xi / sc.c) ** 2
-    r_s, r_p = _fresnel(chi, kappa_perp, contrast,
-                        np.sqrt(kappa_perp**2 + contrast))
-    return FresnelPair(r_s, r_p)
+    kappa_2 = np.square(kappa_perp, out=np.empty(shape))
+    np.add(kappa_2, contrast, out=kappa_2)
+    return FresnelPair(*_fresnel(chi, kappa_perp, contrast,
+                                 np.sqrt(kappa_2, out=kappa_2)))
 
 
 def fresnel_static_limit(model: SurfaceModel, kappa_perp) -> FresnelPair:
@@ -180,7 +186,8 @@ def fresnel_static_limit(model: SurfaceModel, kappa_perp) -> FresnelPair:
         raise TypeError(f"unknown surface model {model!r}")
     with np.errstate(invalid="ignore"):  # r_p is inf/inf at chi = inf
         r_s, _ = _fresnel(np.inf, kappa_perp, contrast,
-                          np.sqrt(kappa_perp**2 + contrast))
+                          np.sqrt(kappa_perp**2 + contrast,
+                                  out=np.empty(kappa_perp.shape)))
     return FresnelPair(r_s, ones)
 
 
@@ -213,6 +220,5 @@ def fresnel_real_freq_from_kappa(model: SurfaceModel, kappa_perp,
     kappa_2 = np.where(neg_real,
                        -1j * np.sqrt(np.abs(w.real)),
                        np.sqrt(np.where(neg_real, 1.0, w)))
-    r_s, r_p = _fresnel(chi, kappa_perp, contrast, kappa_2,
-                        den_can_vanish=True)
-    return FresnelPair(r_s, r_p)
+    return FresnelPair(*_fresnel(chi, kappa_perp, contrast, kappa_2,
+                                 den_can_vanish=True))

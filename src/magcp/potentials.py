@@ -125,24 +125,27 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     k_e = particle.k_e
     omega_e = particle.omega_e
 
-    if which == "electric":
-        w = 1.0
-    elif which == "magnetic":
-        w = wt
-    else:
+    if which not in ("electric", "magnetic"):
         raise ValueError(f"which must be electric or magnetic, got {which!r}")
+    w = 1.0 if which == "electric" else wt
     w_sq = w * w
 
-    # xi_t is a scalar with a 1-d kappa_t, or a column with a 2-d kappa_t
+    # xi_t is a scalar with a 1-d kappa_t, or a column with a 2-d kappa_t;
+    # the full-size steps write to the arrays they own
     def inner(xi_t, kappa_t: np.ndarray) -> np.ndarray:
         pair = fresnel_imag_axis(surface, kappa_t * k_e, xi_t * omega_e)
-        if which == "electric":
-            num = pair.r_s * xi_t**2 - pair.r_p * kappa_t**2
-        else:
-            num = pair.r_p * xi_t**2 - pair.r_s * kappa_t**2
-        out = np.exp(-2.0 * kappa_t * zt) * num / (xi_t**2 + w_sq)
+        r_a, r_b = ((pair.r_s, pair.r_p) if which == "electric"
+                    else (pair.r_p, pair.r_s))
+        xi_sq = xi_t**2
+        num = np.multiply(r_a, xi_sq, out=r_a)
+        kappa_sq = np.square(kappa_t)
+        num -= np.multiply(r_b, kappa_sq, out=r_b)
+        minus_2k = np.multiply(-2.0, kappa_t, out=kappa_sq)
+        out = np.exp(np.multiply(minus_2k, zt, out=r_b), out=r_b)
+        out *= num
+        out /= xi_sq + w_sq
         if deriv:
-            out *= -2.0 * kappa_t
+            out *= minus_2k
         return out
 
     breakpoints = {wt, 1.0, *_xi_ladder(zt, w)}

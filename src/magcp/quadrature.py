@@ -2,22 +2,18 @@
 nested integrals.
 
 All integrals are rows of one deterministic adaptive core on panel
-arrays, ``_adaptive_rows``: a G7-K15 rule applied to all initial panels
-in one integrand call, then to the two halves of the worst panel of
-every unconverged row in one call per bisection step.  The final sum is
-taken over panels sorted by position, so results are bit-stable for
-identical inputs.  Integrals over [a, inf) share one mapping and one
-tail bound, in ``_semi_infinite_rows``: ``integrate_semi_infinite`` is
-one row, and the inner integrals of a nested call are many rows, each
-taking the panel decisions it would take alone.  An inner row starts
-from six panels graded by factors of 4 through its own tail scale, so
-most rows meet their tolerance without a bisection.  A row's panels
-live in slot arrays that start with room for a few bisections and
-double when full, so a lockstep of many rows that mostly stop early
-stays small.  Integrands are called with a 1-d numpy array of
-abscissae, the 15 nodes of each panel side by side, and must return an
-array of the same shape (real or complex) whose entries depend only on
-their own abscissa.
+arrays, ``_adaptive_rows``: a G7-K15 rule on all initial panels in one
+integrand call, then on the two halves of the worst panel of every
+unconverged row in one call per bisection step, each row taking the
+panel decisions it would take alone.  Sums run over panels sorted by
+position, so results are bit-stable.  Integrals over [a, inf) are rows
+of ``_semi_infinite_rows``, one map and one tail bound for all: a lone
+integral is one row, the inner integrals of a nested call many rows that
+map their shared initial grid once and take their tail nodes in their
+first call.  Slot arrays start with room for a few bisections and
+double when full.  Integrands get a 1-d numpy array of abscissae, the 15
+nodes of each panel side by side, and return values of that shape (real
+or complex), each depending only on its own abscissa.
 """
 
 from __future__ import annotations
@@ -88,14 +84,16 @@ class QuadratureConfig:
         if not 0 <= self.abs_tol < math.inf:
             raise ValueError(
                 f"abs_tol must be finite and >= 0, got {self.abs_tol}")
-        if self.max_subdivisions < 10:
-            raise ValueError(
-                f"max_subdivisions must be >= 10, got {self.max_subdivisions}"
-            )
-        # from 16 on the tail cut t = span/(1 + span) rounds to 1.0
-        if not 1 <= self.tail_decades <= 15:
-            raise ValueError(
-                f"tail_decades must be from 1 to 15, got {self.tail_decades}")
+        # from 16 decades on the tail cut t = span/(1 + span) rounds to 1.0
+        for name, low, high in (("max_subdivisions", 10, math.inf),
+                                ("tail_decades", 1, 15)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if not low <= value <= high:
+                raise ValueError(
+                    f"{name} must be from {low} to {high}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -127,24 +125,29 @@ def _panels(g, lo, hi):
     [lo, hi] of shape (n, p), with one call of ``g``.
 
     ``g`` gets the abscissae as an (n, 15*p) array, each row the 15 nodes
-    of its panels side by side, and returns values of that shape.
+    of its panels side by side, and returns values of that shape, or of
+    any number of rows for panels of shape (1, p), which they share.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[..., None] + half[..., None] * _NODES
-    y = np.asarray(g(x.reshape(len(x), -1))).reshape(x.shape)
-    resabs = half * _rule(np.abs(y), _WEIGHTS_K)
+    y = np.asarray(g(x.reshape(len(x), -1))).reshape(-1, *x.shape[1:])
+    size = np.abs(y).astype(float, copy=False)
+    resabs = half * _rule(size, _WEIGHTS_K)
     # a non-finite value makes its panel's resabs non-finite; a finite
     # resabs proves every value finite without a pass over all of y
     if not np.isfinite(resabs).all():
         finite = np.isfinite(y)
         if not finite.all():
-            bad = x[~finite][0]
+            bad = np.broadcast_to(x, y.shape)[~finite][0]
             raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
     k15 = half * _rule(y, _WEIGHTS_K)
     g7 = half * _rule(y, _WEIGHTS_G)
     mean = k15 / (hi - lo)
-    resasc = half * _rule(np.abs(y - mean[..., None]), _WEIGHTS_K)
+    # |y - mean| in the buffer of |y|, where a complex y - mean needs its own
+    dev = np.subtract(y, mean[..., None],
+                      out=size if y.dtype == size.dtype else None)
+    resasc = half * _rule(np.abs(dev, out=size), _WEIGHTS_K)
     err = np.abs(k15 - g7)
     scaled = (resasc != 0.0) & (err != 0.0)
     safe = np.where(scaled, resasc, 1.0)
@@ -155,33 +158,30 @@ def _panels(g, lo, hi):
     return k15, err
 
 
-def _adaptive_rows(g, edges, config: QuadratureConfig):
-    """Adaptive G7-K15 of one integral per row of ``edges``.
+def _adaptive_rows(g, edges, n: int, config: QuadratureConfig):
+    """Adaptive G7-K15 of n integrals, one per row, from shared edges.
 
     Row i integrates t -> g(rows, t)[k] where rows[k] == i: ``g`` gets an
     index array of rows and abscissae t of shape (len(rows), m) and
-    returns values of that shape.  ``edges`` has shape (n, p+1); row i
-    starts from the p panels between edges[i], and all n*p of them go to
-    ``g`` in one call.  Then the rows advance in lockstep: each step,
-    every row that has not met its tolerance bisects its worst panel
-    (largest error, oldest first), and the two halves of all such rows go
-    to ``g`` in one call.  A row stops when the sum of its errors meets
-    max(rel_tol*|sum of values|, abs_tol) or after max_subdivisions
-    bisections.  Returns each row's value and error, both summed in
-    position order, and its evaluation count, as arrays.
+    returns values of that shape.  The p panels between the p+1 ``edges``
+    go to ``g`` in one call, t their grid of shape (1, 15*p) for every
+    row.  Then each step, every row short of max(rel_tol*|sum of values|,
+    abs_tol) bisects its worst panel (largest error, oldest first), and
+    the halves of all such rows go to ``g`` in one call, up to
+    max_subdivisions bisections.  Returns each row's value and error,
+    summed in position order, and its evaluation count, as arrays.
     """
     edges = np.asarray(edges, dtype=float)
-    n, p = edges.shape[0], edges.shape[1] - 1
+    p = len(edges) - 1
     rows = np.arange(n)     # the rows still short of their tolerance
-    v, e = _panels(lambda t: g(rows, t), edges[:, :-1], edges[:, 1:])
-    # Panel j of row i is [lo, hi][i, j].  Slots are filled in creation
-    # order: a bisection appends both halves and empties its parent's
-    # slot (lo = inf, value and error 0), so the first slot of largest
-    # error holds the oldest worst panel.  Most rows stop after a few
-    # bisections, so the slots start with room for _FIRST_BISECTIONS and
-    # the room doubles whenever it fills, up to the budget.
+    # Panel j of row i is [lo, hi][i, j], one row for all until the first
+    # bisection.  Slots fill in creation order: a bisection appends both
+    # halves and empties its parent's slot (lo = inf, value and error 0),
+    # so the first slot of largest error holds the oldest worst panel.
+    # They start with room for _FIRST_BISECTIONS, doubled when full.
+    lo, hi = edges[None, :-1], edges[None, 1:]
+    val, err = _panels(lambda t: g(rows, t), lo, hi)
     full = p + 2 * config.max_subdivisions
-    lo, hi, val, err = edges[:, :-1], edges[:, 1:], v, e
     evals = np.full(n, 15 * p)
     used = p                # slots filled so far, by every row alike
     while used < full:
@@ -191,9 +191,9 @@ def _adaptive_rows(g, edges, config: QuadratureConfig):
         rows = rows[short]
         if rows.size == 0:
             break
-        if used == lo.shape[1]:
+        if used == val.shape[1]:
             width = min(full, p + 2 * max(_FIRST_BISECTIONS, used - p))
-            lo, hi, val, err = (_widened(a, width, empty)
+            lo, hi, val, err = (_widened(a, n, width, empty)
                                 for a, empty in ((lo, np.inf), (hi, 0.0),
                                                  (val, 0.0), (err, 0.0)))
         j = live[short].argmax(axis=1)
@@ -211,17 +211,19 @@ def _adaptive_rows(g, edges, config: QuadratureConfig):
         evals[rows] += 30
         used += 2
 
-    # sequential sums in position order; empty slots sort last and add 0
-    order = np.argsort(lo[:, :used], axis=1, kind="stable")
-    by_row = np.arange(n)[:, None]
-    value = np.cumsum(val[by_row, order], axis=1)[:, -1]
-    error = np.cumsum(err[by_row, order], axis=1)[:, -1]
+    # sequential sums in position order (empty slots sort last, add 0)
+    if used > p:
+        order = np.argsort(lo[:, :used], axis=1, kind="stable")
+        by_row = np.arange(n)[:, None]
+        val, err = val[by_row, order], err[by_row, order]
+    value = np.cumsum(val, axis=1)[:, -1]
+    error = np.cumsum(err, axis=1)[:, -1]
     return value, error, evals
 
 
-def _widened(a, width, empty):
-    """The (n, k) array a followed by width - k columns of ``empty``."""
-    out = np.full((len(a), width), empty, dtype=a.dtype)
+def _widened(a, n, width, empty):
+    """a, (n, k) or (1, k) broadcast to n rows, padded with empty to width."""
+    out = np.full((n, width), empty, dtype=a.dtype)
     out[:, :a.shape[1]] = a
     return out
 
@@ -268,50 +270,58 @@ def integrate_finite(f, a: float, b: float, config: QuadratureConfig,
         else:
             edges.append(lo)
     edges.append(b)
-    return _result(*_adaptive_rows(_one_row(f), [edges], config), config)
+    return _result(*_adaptive_rows(_one_row(f), edges, 1, config), config)
 
 
-def _semi_infinite_rows(f, lower, scale, config: QuadratureConfig,
+def _semi_infinite_rows(f, lower, scale: float, config: QuadratureConfig,
                         t_edges=()):
     """Integrals of f over [lower[i], inf), one row each, in lockstep.
 
-    Row i maps x = a + s*t/(1-t) (a = lower[i], s = scale[i]) onto t in
-    [0, 1) and cuts the tail at x - a = s*10^tail_decades; the t-values
-    ``t_edges`` in between are initial edges of every row.  ``f`` gets an
-    index array of rows and x of shape (len(rows), m).  Returns each row's
-    value, error estimate (tail bound included) and evaluation count.
+    Row i maps x = a + s*t/(1-t) (a = lower[i], s = scale) onto t in
+    [0, 1) and cuts the tail at x - a = s*10^tail_decades; the ascending
+    t-values ``t_edges`` in between are initial edges of every row, whose
+    shared grid is mapped once.  ``f`` gets an index array of rows and x
+    of shape (len(rows), m); in its first call, on the initial panels,
+    each row's last x is its tail node x_max, for the tail bound.  Returns
+    each row's value, error estimate (tail bound included) and evaluation
+    count.
     """
     a = np.asarray(lower, dtype=float).reshape(-1, 1)
-    s = np.asarray(scale, dtype=float).reshape(-1, 1)
-    if (s <= 0).any():
-        raise ValueError(f"tail_scale must be positive, got {s[s <= 0][0]}")
     n = len(a)
     span = 10.0 ** config.tail_decades
     t_max = span / (1.0 + span)
-    t = np.unique(np.asarray(t_edges, dtype=float))
-    t = t[(0.0 < t) & (t < t_max)]
-    edges = np.tile(np.concatenate([[0.0], t, [t_max]]), (n, 1))
-
-    # all rows need no gather; a lone row broadcasts faster as floats
-    whole = (float(a[0, 0]), float(s[0, 0])) if n == 1 else (a, s)
+    t = np.asarray(t_edges, dtype=float)
+    edges = np.concatenate([[0.0], t[(0.0 < t) & (t < t_max)], [t_max]])
+    x_max = a + scale * span
+    # all rows need no gather; a lone row broadcasts faster as a float
+    whole = float(a[0, 0]) if n == 1 else a
+    tail = []
 
     def g(rows, t):
-        a_r, s_r = whole if len(rows) == n else (a[rows], s[rows])
         one_m = 1.0 - t
-        return np.asarray(f(rows, a_r + s_r * t / one_m)) * (s_r / one_m**2)
+        x = scale * t / one_m
+        jacobian = scale / one_m**2
+        if tail:
+            a_r = whole if len(rows) == n else a[rows]
+            return np.asarray(f(rows, a_r + x)) * jacobian
+        # the first call: the shared grid of every row, tail node last
+        xs = np.empty((n, x.shape[1] + 1))
+        np.add(whole, x, out=xs[:, :-1])
+        xs[:, -1:] = x_max
+        y = np.asarray(f(rows, xs))
+        # Bound on the discarded tail: |f(x_max)|*x_max for decay at least
+        # as fast as 1/x^2, nothing for exponentially decaying kernels.
+        tail.append(np.abs(y[:, -1]) * x_max[:, 0])
+        return y[:, :-1] * jacobian
 
-    value, error, evals = _adaptive_rows(g, edges, config)
-    # Truncation bound for the discarded tail: for decay at least as fast
-    # as 1/x^2 the remainder is bounded by |f(x_max)|*x_max; exponentially
-    # decaying kernels contribute nothing here.
-    x_max = _tail_node(a, s, config)
-    tail_bound = np.abs(np.asarray(f(np.arange(n), x_max))) * x_max
-    return value, error + tail_bound[:, 0], evals + 1
+    value, error, evals = _adaptive_rows(g, edges, n, config)
+    return value, error + tail[0], evals + 1
 
 
-def _tail_node(lower, scale, config: QuadratureConfig):
-    """x_max = lower + scale*10^tail_decades, where the map cuts the tail."""
-    return lower + scale * 10.0 ** config.tail_decades
+def _check_scale(name: str, scale: float) -> None:
+    """Refuse a tail scale that is not positive and finite."""
+    if not 0 < scale < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {scale}")
 
 
 def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
@@ -321,15 +331,14 @@ def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
     ``tail_scale`` s is the decay scale of the integrand, which every
     caller knows; the tail is cut at x - a = s*10^tail_decades.  Each of
     ``config.split_points`` p becomes the initial t-edge d/(s + d),
-    d = max(p - a, 0).
+    d = max(p - a, 0).  ``f`` gets the tail node with the initial panels,
+    last, in its first call.
     """
-    if not tail_scale > 0:
-        raise ValueError(f"tail_scale must be positive, got {tail_scale}")
+    _check_scale("tail_scale", tail_scale)
     d = np.maximum(np.array(config.split_points or ()) - lower_limit, 0.0)
+    t = np.unique(d / (tail_scale + d))
     return _result(*_semi_infinite_rows(_one_row(f), [lower_limit],
-                                        [tail_scale], config,
-                                        t_edges=d / (tail_scale + d)),
-                   config)
+                                        tail_scale, config, t), config)
 
 
 def integrate_nested(inner_f, outer_lower: float, inner_lower,
@@ -345,17 +354,18 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     with a 1-d y.  ``inner_lower`` is a callable that gets the 1-d array
     of outer nodes and returns the inner lower limits, an array of that
     shape.  ``outer_tail_scale`` and ``inner_tail_scale`` are the decay
-    scales of the outer and inner integrands, positive floats.  Each
-    inner integral starts from a ratio-4 grading through its tail scale s
-    (edges s*4^k above its lower limit for k = -2..2, the t-edges
-    _INNER_T_EDGES) and from there bisects as it would alone.  The inner
-    integral at the outer tail node, for the outer tail bound, runs with
-    those of the initial outer panels.
+    scales of the outer and inner integrands, positive finite floats.
+    Each inner integral starts from a ratio-4 grading through its tail
+    scale s (edges s*4^k above its lower limit for k = -2..2, the t-edges
+    _INNER_T_EDGES) and from there bisects as it would alone; the one at
+    the outer tail node is the last row with the initial outer panels.
     The error estimate conservatively adds the worst inner error, scaled
     by an effective outer extent, to the outer estimate.  An inner
     integral whose error is at most the smallest normal float (its
     envelope has underflowed) counts as converged, also at abs_tol 0.
     """
+    _check_scale("outer_tail_scale", outer_tail_scale)
+    _check_scale("inner_tail_scale", inner_tail_scale)
     # Budget split: the outer pass targets half the requested tolerance and
     # the inner passes a tenth, so the conservative combined bound still
     # meets the caller's tolerance and the converged flag stays honest.
@@ -365,33 +375,14 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
                         abs_tol=config.abs_tol / 2.0)
     stats = {"evals": 0, "failed_at": None, "max_err": 0.0}
 
-    def inner_rows(xs):
+    def outer_integrand(xs):
         value, error, evals = _semi_infinite_rows(
             lambda rows, y: inner_f(xs[rows, None], y), inner_lower(xs),
-            np.full(xs.shape, inner_tail_scale), inner_cfg,
-            t_edges=_INNER_T_EDGES)
+            inner_tail_scale, inner_cfg, t_edges=_INNER_T_EDGES)
         # an error at most tiny is the rounding of an underflowed envelope
         converged = _converged(value, error, inner_cfg) | (error <= _TINY)
         stats["evals"] += int(evals.sum())
-        stats["max_err"] = float(np.fmax.reduce(error,
-                                                initial=stats["max_err"]))
-        return value, converged
-
-    # The outer tail bound asks for the inner row at x_max alone, after the
-    # last outer bisection: that row rides in the first call instead, with
-    # the initial outer panels, and the tail call, the only one of a single
-    # node, reads it back.
-    x_tail = _tail_node(outer_lower, outer_tail_scale, outer_cfg)
-
-    def outer_integrand(xs):
-        if "tail" not in stats:
-            value, converged = inner_rows(np.append(xs, x_tail))
-            stats["tail"] = value[-1:], converged[-1:]
-            value, converged = value[:-1], converged[:-1]
-        elif xs.size == 1:
-            value, converged = stats["tail"]
-        else:
-            value, converged = inner_rows(xs)
+        stats["max_err"] = max(stats["max_err"], float(np.fmax.reduce(error)))
         if stats["failed_at"] is None and not converged.all():
             stats["failed_at"] = xs[np.argmin(converged)]
         return value

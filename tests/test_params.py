@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 import scipy.constants as sc
 from hypothesis import given, settings
@@ -168,6 +169,17 @@ def test_tail_decades_out_of_range_rejected(decades):
     with pytest.raises(ValueError, match="tail_decades"):
         QuadratureConfig(tail_decades=decades)
     assert QuadratureConfig(tail_decades=15).tail_decades == 15
+
+
+@pytest.mark.parametrize("field", ["max_subdivisions", "tail_decades"])
+@pytest.mark.parametrize("value", [10.5, 12.0, True, "12"],
+                         ids=["fraction", "whole-float", "bool", "str"])
+def test_quadrature_counts_must_be_ints(field, value):
+    # refused where the config is made, not deep inside the adaptive core
+    # (a float) or read as 1 (True)
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        QuadratureConfig(**{field: value})
+    assert getattr(QuadratureConfig(**{field: np.int64(12)}), field) == 12
 
 
 BASE = {"omega_e": OMEGA_E, "omega_m": OMEGA_M, "spin": 3.0,

@@ -60,8 +60,11 @@ def _panel(f, a: float, b: float):
     return k15, err, resabs
 
 
-def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None):
-    """integrate_finite on a heap of panels, worst (then oldest) first."""
+def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None,
+                 after_initial=None):
+    """integrate_finite on a heap of panels, worst (then oldest) first.
+    ``after_initial``, if given, is called once between the initial
+    panels and the first bisection."""
     pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
     edges = []
     for lo, hi in zip(pts[:-1], pts[1:]):
@@ -79,6 +82,8 @@ def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None):
         val, err, _ = _panel(f, lo, hi)
         evals += 15
         heapq.heappush(heap, (-err, next(counter), lo, hi, val, err))
+    if after_initial is not None:
+        after_initial()
 
     subdivisions = 0
     while subdivisions < config.max_subdivisions:
@@ -106,8 +111,10 @@ def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None):
 def _heap_semi_infinite(f, lower_limit, config, tail_scale, t_edges=()):
     """integrate_semi_infinite as it was before it became one row of
     _semi_infinite_rows: its own mapping, split-point mapping and tail
-    bound around _heap_finite.  ``t_edges`` are further initial edges in
-    the mapped variable t, as _semi_infinite_rows takes them."""
+    bound around _heap_finite, which samples the tail node right after the
+    initial panels, where _semi_infinite_rows samples it, last in its
+    first call.  ``t_edges`` are further initial edges in the mapped
+    variable t, as _semi_infinite_rows takes them."""
     a = float(lower_limit)
     s = float(tail_scale)
     span = 10.0 ** config.tail_decades
@@ -120,10 +127,15 @@ def _heap_semi_infinite(f, lower_limit, config, tail_scale, t_edges=()):
     breakpoints = [(p - a) / (s + (p - a))
                    for p in config.split_points or () if p > a]
     breakpoints += list(t_edges)
-    res = _heap_finite(g, 0.0, t_max, config, breakpoints=breakpoints)
     x_max = a + s * span
-    tail_bound = float(np.abs(np.asarray(f(np.array([x_max])))[0])) * x_max
-    err = res.error_estimate + tail_bound
+    tail = []
+
+    def sample_tail():
+        tail.append(float(np.abs(np.asarray(f(np.array([x_max])))[0])))
+
+    res = _heap_finite(g, 0.0, t_max, config, breakpoints=breakpoints,
+                       after_initial=sample_tail)
+    err = res.error_estimate + tail[0] * x_max
     converged = err <= max(config.rel_tol * abs(res.value), config.abs_tol)
     return IntegralResult(res.value, err, res.evaluations + 1, converged)
 
@@ -265,7 +277,7 @@ TIGHT = QuadratureConfig(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=12)
 def test_lockstep_inner_integrals_match_per_node_loop(f, config):
     xs = np.array([0.0, 0.3, 1.0, 1.9, 2.5, 4.0, 7.0])
     value, error, evals = _semi_infinite_rows(
-        lambda rows, y: f(xs[rows, None], y), xs, np.ones_like(xs), config)
+        lambda rows, y: f(xs[rows, None], y), xs, 1.0, config)
     converged = _converged(value, error, config)
     for i, x in enumerate(xs):
         ref = _heap_semi_infinite(lambda y: f(x, y), x, config,
@@ -449,20 +461,30 @@ def _kinked_power(x):
 @example(f=_kinked_power, points=[0.5, 1.3, 1.3, 4.0], a=2.0, scale=0.5)
 @settings(max_examples=40, deadline=None)
 def test_semi_infinite_matches_heap_over_split_points(f, points, a, scale):
-    # the tail bound's sample is the last call of both
+    # both sample the tail node right after the initial panels
     config = replace(CFG, split_points=tuple(points))
     _assert_same_samples(
         f, lambda g: integrate_semi_infinite(g, a, config, tail_scale=scale),
         lambda g: _heap_semi_infinite(g, a, config, tail_scale=scale))
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
 def test_semi_infinite_refuses_non_positive_tail_scale(scale):
-    # refused before the split points are mapped through it
+    # refused before the split points are mapped through it, and never
+    # reported as a non-finite integrand
     with pytest.raises(ValueError, match="tail_scale"):
         integrate_semi_infinite(lambda x: np.exp(-x), 0.0,
                                 replace(CFG, split_points=(1.0,)),
                                 tail_scale=scale)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["outer_tail_scale", "inner_tail_scale"])
+def test_nested_refuses_bad_tail_scale(name, scale):
+    scales = {"outer_tail_scale": 1.0, "inner_tail_scale": 1.0, name: scale}
+    with pytest.raises(ValueError, match=name):
+        integrate_nested(lambda x, y: np.exp(-y), 0.0, lambda x: x, CFG,
+                         **scales)
 
 
 def test_one_integrand_call_per_step():
@@ -473,11 +495,17 @@ def test_one_integrand_call_per_step():
     assert subdivisions > 0
     assert len(calls) == 1 + subdivisions
     assert [len(x) for x in calls] == [45] + [30] * subdivisions
-    # integrate_semi_infinite makes one more call, for the tail bound
+    # integrate_semi_infinite makes no extra call: the tail node of its
+    # tail bound, x_max = 0 + 1*10^tail_decades, ends its first call
     f, calls = _recorded(lambda x: np.exp(-x) * np.sqrt(np.abs(x - 0.3)))
     res = integrate_semi_infinite(f, 0.0, replace(CFG, split_points=(0.3,)),
                                   tail_scale=1.0)
-    assert len(calls) == 1 + (res.evaluations - 1 - 2 * 15) // 30 + 1
+    subdivisions = (res.evaluations - 1 - 2 * 15) // 30
+    assert subdivisions > 0
+    assert len(calls) == 1 + subdivisions
+    assert [len(x) for x in calls] == [2 * 15 + 1] + [30] * subdivisions
+    assert calls[0][-1] == 10.0 ** CFG.tail_decades
+    assert (calls[0][:-1] < calls[0][-1]).all()
 
 
 def test_nested_batches_initial_outer_panels():
@@ -492,12 +520,12 @@ def test_nested_batches_initial_outer_panels():
                            outer_tail_scale=1.0, inner_tail_scale=1.0)
     assert res.converged
     # the outer pass does not bisect, so there is one lockstep of inner
-    # rows, each from its graded panels, and one call for their tail
-    # bounds; the rows are the 15 nodes of each initial outer panel and
+    # rows, each from its graded panels with its own tail node last, in
+    # one call; the rows are the 15 nodes of each initial outer panel and
     # the outer tail node x_max = 0 + 1*10^tail_decades, last
     inner_panels = len(_INNER_T_EDGES) + 1
-    assert [shape for _, shape in calls] == [(4 * 15 + 1, 15 * inner_panels),
-                                             (4 * 15 + 1, 1)]
+    assert [shape for _, shape in calls] == [
+        (4 * 15 + 1, 15 * inner_panels + 1)]
     x = calls[0][0]
     assert x.shape == (4 * 15 + 1, 1)
     assert x[-1, 0] == 10.0 ** CFG.tail_decades
@@ -588,8 +616,7 @@ def test_lockstep_slot_growth_matches_per_node_loop():
     # after a few bisections
     xs = np.linspace(0.0, 6.0, 40)
     value, error, evals = _semi_infinite_rows(
-        lambda rows, y: _kinked(xs[rows, None], y), xs, np.ones_like(xs),
-        SLOTS)
+        lambda rows, y: _kinked(xs[rows, None], y), xs, 1.0, SLOTS)
     converged = _converged(value, error, SLOTS)
     for i, x in enumerate(xs):
         ref = _heap_semi_infinite(lambda y: _kinked(x, y), x, SLOTS,
@@ -612,10 +639,34 @@ def test_inner_lockstep_slots_grow_with_use():
     tracemalloc.start()
     try:
         _, _, evals = _semi_infinite_rows(
-            lambda rows, y: _smooth(xs[rows, None], y), xs,
-            np.ones_like(xs), config, t_edges=_INNER_T_EDGES)
+            lambda rows, y: _smooth(xs[rows, None], y), xs, 1.0, config,
+            t_edges=_INNER_T_EDGES)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert evals.max() < 1 + 4 * 15 + 30 * 20
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("f", [
+    _smooth,
+    lambda x, y: np.exp(-y) * (1.0 + 1j * x * y) / (1.0 + y**2),
+], ids=["real", "complex"])
+def test_semi_infinite_rows_do_not_depend_on_batch(f):
+    # each row's value, error and evaluation count are the same bits in a
+    # batch of 40 rows, which share their initial grid and its map and
+    # take their tail nodes with it, as alone
+    xs = np.linspace(0.0, 8.0, 40)
+    config = replace(CFG, rel_tol=1e-12, abs_tol=0.0)
+    value, error, evals = _semi_infinite_rows(
+        lambda rows, y: f(xs[rows, None], y), xs, 0.5, config,
+        t_edges=_INNER_T_EDGES)
+    assert len(set(evals)) > 1
+    for i in range(len(xs)):
+        x = xs[i:i + 1]
+        row_value, row_error, row_evals = _semi_infinite_rows(
+            lambda rows, y: f(x[rows, None], y), x, 0.5, config,
+            t_edges=_INNER_T_EDGES)
+        assert value[i].tobytes() == row_value[0].tobytes()
+        assert error[i].tobytes() == row_error[0].tobytes()
+        assert evals[i] == row_evals[0]
