@@ -103,6 +103,10 @@ def _finish(prefactor: float, part: float, res: IntegralResult, what: str,
 # ---------------------------------------------------------------------------
 # imaginary-frequency double integrals (ground-state broadband shifts)
 
+# the outer u-step of _ground_double above u = asinh(1): a factor of 16 in xi
+_LN16 = math.log(16.0)
+
+
 def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
                    geometry: Geometry, quad: QuadratureConfig,
                    which: str, deriv: bool) -> IntegralResult:
@@ -114,11 +118,18 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     form [r a x^2 - r_b k^2]/(x^2 + w^2) to stay finite at xi -> 0.
     deriv inserts the factor -2*kappa (d/dz of the exponential).
 
-    The outer xi integral starts from split points at the surface's
-    frequencies and from _xi_ladder, which bridges the Lorentzian scale w
-    and the envelope scale 1/(2z) of the outer integrand: these lie up to ten
-    decades apart for the magnetic bracket, and every outer bisection
-    costs a whole lockstep of inner kappa integrals.
+    The outer integral runs over u = asinh(xi/w), xi = w sinh(u), so
+    dxi/(xi^2 + w^2) = du/(w cosh(u)): the Lorentzian of width w is flat
+    in u below u ~ 1 and the e^(-2 xi z) envelope, up to ten decades
+    higher for the magnetic bracket, is smooth on the log scale u ~
+    ln(2 xi/w) above it.  The outer panels start at asinh(b/w) for the
+    scales b = w, 1 and the surface's frequencies, then every ln 16 (a
+    factor of 16 in xi) from u = asinh(1) to one step past the envelope
+    scale asinh(1/(2 z w)), and, where 1/(2z) < w, at a ratio-4 _ladder
+    of xi from 1/(2z) to w.  Every outer bisection costs a whole lockstep
+    of inner kappa integrals.  u is capped at asinh(400/(z w)), where
+    e^(-2 xi z) <= e^(-800) is 0 in double precision, so the outer tail
+    node stays finite.
     """
     zt = geometry.z_tilde(particle)
     wt = particle.omega_tilde
@@ -128,39 +139,49 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     if which not in ("electric", "magnetic"):
         raise ValueError(f"which must be electric or magnetic, got {which!r}")
     w = 1.0 if which == "electric" else wt
-    w_sq = w * w
+    envelope = 1.0 / (2.0 * zt)
+    u_cap = math.asinh(400.0 / (zt * w))
 
-    # xi_t is a scalar with a 1-d kappa_t, or a column with a 2-d kappa_t;
+    def xi_of(u_t):
+        return w * np.sinh(np.minimum(u_t, u_cap))
+
+    # u_t is a scalar with a 1-d kappa_t, or a column with a 2-d kappa_t;
     # the full-size steps write to the arrays they own
-    def inner(xi_t, kappa_t: np.ndarray) -> np.ndarray:
+    def inner(u_t, kappa_t: np.ndarray) -> np.ndarray:
+        xi_t = xi_of(u_t)
         pair = fresnel_imag_axis(surface, kappa_t * k_e, xi_t * omega_e)
         r_a, r_b = ((pair.r_s, pair.r_p) if which == "electric"
                     else (pair.r_p, pair.r_s))
-        xi_sq = xi_t**2
-        num = np.multiply(r_a, xi_sq, out=r_a)
+        num = np.multiply(r_a, xi_t**2, out=r_a)
         kappa_sq = np.square(kappa_t)
         num -= np.multiply(r_b, kappa_sq, out=r_b)
         minus_2k = np.multiply(-2.0, kappa_t, out=kappa_sq)
         out = np.exp(np.multiply(minus_2k, zt, out=r_b), out=r_b)
         out *= num
-        out /= xi_sq + w_sq
+        out /= w * np.cosh(np.minimum(u_t, u_cap))
         if deriv:
             out *= minus_2k
         return out
 
-    breakpoints = {wt, 1.0, *_xi_ladder(zt, w)}
+    scales = {w, 1.0}
     if isinstance(surface, Drude):
-        breakpoints.update({surface.omega_p / omega_e,
-                            surface.gamma / omega_e})
+        scales.update({surface.omega_p / omega_e, surface.gamma / omega_e})
     elif isinstance(surface, Plasma):
-        breakpoints.add(surface.omega_p / omega_e)
-    cfg = replace(quad,
-                  split_points=tuple(sorted(b for b in breakpoints if b > 0)))
+        scales.add(surface.omega_p / omega_e)
+    u_env = math.asinh(envelope / w)
+    splits = {math.asinh(b / w) for b in scales}
+    u = math.asinh(1.0)
+    while u < u_env:
+        u += _LN16
+        splits.add(u)
+    if envelope < w:
+        splits.update(math.asinh(b / w) for b in _ladder(envelope, w))
+    cfg = replace(quad, split_points=tuple(sorted(
+        b for b in splits if 0.0 < b < u_cap)))
     # The kappa integrand decays on 1/(2*z), and the inner integral leaves
-    # an exp(-2*xi*z) envelope: the outer support ends near xi = 1/(2*z).
-    envelope = 1.0 / (2.0 * zt)
-    return integrate_nested(inner, 0.0, lambda xi_t: xi_t, cfg,
-                            outer_tail_scale=envelope,
+    # an exp(-2*xi*z) envelope: the outer support ends near u_env.
+    return integrate_nested(inner, 0.0, xi_of, cfg,
+                            outer_tail_scale=max(u_env, 1.0),
                             inner_tail_scale=envelope)
 
 
@@ -240,14 +261,6 @@ def _ladder(lo: float, hi: float) -> tuple[float, ...]:
         points.append(p)
         p *= ratio
     return tuple(points)
-
-
-def _xi_ladder(zt: float, w: float) -> tuple[float, ...]:
-    """_ladder between the two scales of the outer xi integral of the
-    broadband shifts: the Lorentzian 1/(xi^2 + w^2) at w and the
-    e^(-2 xi z) envelope at 1/(2z)."""
-    envelope = 1.0 / (2.0 * zt)
-    return _ladder(min(w, envelope), max(w, envelope))
 
 
 # ---------------------------------------------------------------------------

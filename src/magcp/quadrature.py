@@ -10,10 +10,13 @@ position, so results are bit-stable.  Integrals over [a, inf) are rows
 of ``_semi_infinite_rows``, one map and one tail bound for all: a lone
 integral is one row, the inner integrals of a nested call many rows that
 map their shared initial grid once and take their tail nodes in their
-first call.  Slot arrays start with room for a few bisections and
-double when full.  Integrands get a 1-d numpy array of abscissae, the 15
-nodes of each panel side by side, and return values of that shape (real
-or complex), each depending only on its own abscissa.
+first call.  A nested integral's inner errors ride with its outer
+panels as a carried sum that steers no bisection, so its bound weighs
+each by the outer rule.  Slot arrays start with room for a few
+bisections and double when full.  Integrands get a 1-d numpy array of
+abscissae, the 15 nodes of each panel side by side, and return values
+of that shape (real or complex), each depending only on its own
+abscissa.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ class QuadratureConfig:
                     f"{name} must be from {low} to {high}, got {value}")
 
 
-@dataclass(frozen=True)
+# slotted: callers may keep results by the thousand, and without a
+# __dict__ a result takes 64 bytes where it took about 105
+@dataclass(frozen=True, slots=True)
 class IntegralResult:
     value: complex | float
     error_estimate: float
@@ -121,17 +126,22 @@ def _rule(y, w):
 
 
 def _panels(g, lo, hi):
-    """G7/K15 estimates and QUADPACK-style error bounds of every panel
-    [lo, hi] of shape (n, p), with one call of ``g``.
+    """G7/K15 estimates, QUADPACK-style error bounds and carried errors of
+    every panel [lo, hi] of shape (n, p), with one call of ``g``.
 
     ``g`` gets the abscissae as an (n, 15*p) array, each row the 15 nodes
     of its panels side by side, and returns values of that shape, or of
-    any number of rows for panels of shape (1, p), which they share.
+    any number of rows for panels of shape (1, p), which they share.  It
+    may instead return a pair (values, e) with e >= 0 of the same shape,
+    an error carried by each value: then the third result is e's K15 sum
+    on each panel, which no error bound sees, and otherwise None.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[..., None] + half[..., None] * _NODES
-    y = np.asarray(g(x.reshape(len(x), -1))).reshape(-1, *x.shape[1:])
+    y = g(x.reshape(len(x), -1))
+    y, carried = y if isinstance(y, tuple) else (y, None)
+    y = np.asarray(y).reshape(-1, *x.shape[1:])
     size = np.abs(y).astype(float, copy=False)
     resabs = half * _rule(size, _WEIGHTS_K)
     # a non-finite value makes its panel's resabs non-finite; a finite
@@ -155,7 +165,9 @@ def _panels(g, lo, hi):
                    resasc * np.minimum(1.0, (200.0 * err / safe) ** 1.5), err)
     floor = resabs > _RESABS_FLOOR
     err = np.where(floor, np.maximum(err, _EPS50 * resabs), err)
-    return k15, err
+    if carried is not None:
+        carried = half * _rule(np.reshape(carried, y.shape), _WEIGHTS_K)
+    return k15, err, carried
 
 
 def _adaptive_rows(g, edges, n: int, config: QuadratureConfig):
@@ -163,24 +175,26 @@ def _adaptive_rows(g, edges, n: int, config: QuadratureConfig):
 
     Row i integrates t -> g(rows, t)[k] where rows[k] == i: ``g`` gets an
     index array of rows and abscissae t of shape (len(rows), m) and
-    returns values of that shape.  The p panels between the p+1 ``edges``
-    go to ``g`` in one call, t their grid of shape (1, 15*p) for every
-    row.  Then each step, every row short of max(rel_tol*|sum of values|,
-    abs_tol) bisects its worst panel (largest error, oldest first), and
-    the halves of all such rows go to ``g`` in one call, up to
-    max_subdivisions bisections.  Returns each row's value and error,
-    summed in position order, and its evaluation count, as arrays.
+    returns values of that shape, or a pair (values, carried errors) as
+    _panels takes it.  The p panels between the p+1 ``edges`` go to ``g``
+    in one call, t their grid of shape (1, 15*p) for every row.  Then each
+    step, every row short of max(rel_tol*|sum of values|, abs_tol) bisects
+    its worst panel (largest error, oldest first), and the halves of all
+    such rows go to ``g`` in one call, up to max_subdivisions bisections.
+    Returns each row's value and error, summed in position order, and its
+    evaluation count, as arrays.  Carried errors ride with their panels
+    and add to the error only there: they steer no bisection.
     """
     edges = np.asarray(edges, dtype=float)
     p = len(edges) - 1
     rows = np.arange(n)     # the rows still short of their tolerance
     # Panel j of row i is [lo, hi][i, j], one row for all until the first
     # bisection.  Slots fill in creation order: a bisection appends both
-    # halves and empties its parent's slot (lo = inf, value and error 0),
+    # halves and empties its parent's slot (lo = inf, value and errors 0),
     # so the first slot of largest error holds the oldest worst panel.
     # They start with room for _FIRST_BISECTIONS, doubled when full.
     lo, hi = edges[None, :-1], edges[None, 1:]
-    val, err = _panels(lambda t: g(rows, t), lo, hi)
+    val, err, carried = _panels(lambda t: g(rows, t), lo, hi)
     full = p + 2 * config.max_subdivisions
     evals = np.full(n, 15 * p)
     used = p                # slots filled so far, by every row alike
@@ -196,11 +210,13 @@ def _adaptive_rows(g, edges, n: int, config: QuadratureConfig):
             lo, hi, val, err = (_widened(a, n, width, empty)
                                 for a, empty in ((lo, np.inf), (hi, 0.0),
                                                  (val, 0.0), (err, 0.0)))
+            if carried is not None:
+                carried = _widened(carried, n, width, 0.0)
         j = live[short].argmax(axis=1)
         lo_j, hi_j = lo[rows, j], hi[rows, j]
         ends = np.array([lo_j, 0.5 * (lo_j + hi_j), hi_j])
         new_lo, new_hi = ends[:2].T, ends[1:].T
-        v, e = _panels(lambda t: g(rows, t), new_lo, new_hi)
+        v, e, c = _panels(lambda t: g(rows, t), new_lo, new_hi)
         lo[rows, used:used + 2] = new_lo
         hi[rows, used:used + 2] = new_hi
         val[rows, used:used + 2] = v
@@ -208,16 +224,25 @@ def _adaptive_rows(g, edges, n: int, config: QuadratureConfig):
         lo[rows, j] = np.inf
         val[rows, j] = 0.0
         err[rows, j] = 0.0
+        if carried is not None:
+            carried[rows, used:used + 2] = c
+            carried[rows, j] = 0.0
         evals[rows] += 30
         used += 2
 
-    # sequential sums in position order (empty slots sort last, add 0)
+    # sequential sums in position order (empty slots sort last, add 0),
+    # each array gathered by one take of flat indices: the argsort of a
+    # row already in order is cheap, and picking out the rows that
+    # bisected costs more than it saves
+    parts = [a for a in (val, err, carried) if a is not None]
     if used > p:
         order = np.argsort(lo[:, :used], axis=1, kind="stable")
-        by_row = np.arange(n)[:, None]
-        val, err = val[by_row, order], err[by_row, order]
-    value = np.cumsum(val, axis=1)[:, -1]
-    error = np.cumsum(err, axis=1)[:, -1]
+        width = val.shape[1]
+        order += np.arange(0, n * width, width)[:, None]
+        parts = [a.take(order) for a in parts]
+    value, error, *extra = (np.cumsum(a, axis=1)[:, -1] for a in parts)
+    if extra:
+        error = error + extra[0]
     return value, error, evals
 
 
@@ -281,10 +306,11 @@ def _semi_infinite_rows(f, lower, scale: float, config: QuadratureConfig,
     [0, 1) and cuts the tail at x - a = s*10^tail_decades; the ascending
     t-values ``t_edges`` in between are initial edges of every row, whose
     shared grid is mapped once.  ``f`` gets an index array of rows and x
-    of shape (len(rows), m); in its first call, on the initial panels,
-    each row's last x is its tail node x_max, for the tail bound.  Returns
-    each row's value, error estimate (tail bound included) and evaluation
-    count.
+    of shape (len(rows), m), and returns values of that shape or a pair
+    (values, carried errors), both mapped with the Jacobian; in its first
+    call, on the initial panels, each row's last x is its tail node x_max,
+    for the tail bound.  Returns each row's value, error estimate (tail
+    bound and carried errors included) and evaluation count.
     """
     a = np.asarray(lower, dtype=float).reshape(-1, 1)
     n = len(a)
@@ -303,19 +329,34 @@ def _semi_infinite_rows(f, lower, scale: float, config: QuadratureConfig,
         jacobian = scale / one_m**2
         if tail:
             a_r = whole if len(rows) == n else a[rows]
-            return np.asarray(f(rows, a_r + x)) * jacobian
-        # the first call: the shared grid of every row, tail node last
-        xs = np.empty((n, x.shape[1] + 1))
-        np.add(whole, x, out=xs[:, :-1])
-        xs[:, -1:] = x_max
-        y = np.asarray(f(rows, xs))
-        # Bound on the discarded tail: |f(x_max)|*x_max for decay at least
-        # as fast as 1/x^2, nothing for exponentially decaying kernels.
-        tail.append(np.abs(y[:, -1]) * x_max[:, 0])
-        return y[:, :-1] * jacobian
+            y = f(rows, a_r + x)
+            nodes = slice(None)
+        else:
+            # the first call: the shared grid of every row, tail node last
+            xs = np.empty((n, x.shape[1] + 1))
+            np.add(whole, x, out=xs[:, :-1])
+            xs[:, -1:] = x_max
+            y = f(rows, xs)
+            nodes = slice(None, -1)
+        parts = [np.asarray(part) for part in
+                 (y if isinstance(y, tuple) else (y,))]
+        if not tail:
+            # Bound on the discarded tail: |f(x_max)|*x_max for decay at
+            # least as fast as 1/x^2, nothing for exponentially decaying
+            # kernels.
+            tail.append(np.abs(parts[0][:, -1]) * x_max[:, 0])
+        mapped = [part[:, nodes] * jacobian for part in parts]
+        return tuple(mapped) if isinstance(y, tuple) else mapped[0]
 
     value, error, evals = _adaptive_rows(g, edges, n, config)
     return value, error + tail[0], evals + 1
+
+
+def _t_edges(points, lower: float, scale: float):
+    """The initial t-edges d/(s + d), d = max(p - a, 0), of split points p
+    on [a, inf) mapped with scale s, ascending and without repeats."""
+    d = np.maximum(np.array(points or ()) - lower, 0.0)
+    return np.unique(d / (scale + d))
 
 
 def _check_scale(name: str, scale: float) -> None:
@@ -335,8 +376,7 @@ def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
     last, in its first call.
     """
     _check_scale("tail_scale", tail_scale)
-    d = np.maximum(np.array(config.split_points or ()) - lower_limit, 0.0)
-    t = np.unique(d / (tail_scale + d))
+    t = _t_edges(config.split_points, lower_limit, tail_scale)
     return _result(*_semi_infinite_rows(_one_row(f), [lower_limit],
                                         tail_scale, config, t), config)
 
@@ -354,54 +394,48 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     with a 1-d y.  ``inner_lower`` is a callable that gets the 1-d array
     of outer nodes and returns the inner lower limits, an array of that
     shape.  ``outer_tail_scale`` and ``inner_tail_scale`` are the decay
-    scales of the outer and inner integrands, positive finite floats.
-    Each inner integral starts from a ratio-4 grading through its tail
-    scale s (edges s*4^k above its lower limit for k = -2..2, the t-edges
-    _INNER_T_EDGES) and from there bisects as it would alone; the one at
-    the outer tail node is the last row with the initial outer panels.
-    The error estimate conservatively adds the worst inner error, scaled
-    by an effective outer extent, to the outer estimate.  An inner
-    integral whose error is at most the smallest normal float (its
+    scales of the outer and inner integrands, positive finite floats; the
+    outer integral starts from ``config.split_points`` as
+    integrate_semi_infinite does.  Each inner integral starts from a
+    ratio-4 grading through its tail scale s (edges s*4^k above its lower
+    limit for k = -2..2, the t-edges _INNER_T_EDGES) and from there
+    bisects as it would alone; the one at the outer tail node is the last
+    row with the initial outer panels.
+
+    The error estimate is the outer one plus the inner errors weighted as
+    the outer values are: the sum over the outer nodes of the final
+    panels of each node's outer weight times its inner error.  The inner
+    errors ride with the outer panels and steer no outer bisection.  An
+    inner integral whose error is at most the smallest normal float (its
     envelope has underflowed) counts as converged, also at abs_tol 0.
     """
     _check_scale("outer_tail_scale", outer_tail_scale)
     _check_scale("inner_tail_scale", inner_tail_scale)
     # Budget split: the outer pass targets half the requested tolerance and
-    # the inner passes a tenth, so the conservative combined bound still
-    # meets the caller's tolerance and the converged flag stays honest.
+    # the inner passes a tenth, so the weighted inner errors leave room
+    # in the caller's tolerance and the converged flag stays honest.
     inner_cfg = replace(config, rel_tol=config.rel_tol / 10.0,
                         abs_tol=config.abs_tol / 10.0)
     outer_cfg = replace(config, rel_tol=config.rel_tol / 2.0,
                         abs_tol=config.abs_tol / 2.0)
-    stats = {"evals": 0, "failed_at": None, "max_err": 0.0}
+    stats = {"evals": 0, "failed_at": None}
 
-    def outer_integrand(xs):
+    def outer_integrand(_, xs):
+        x = xs[0]
         value, error, evals = _semi_infinite_rows(
-            lambda rows, y: inner_f(xs[rows, None], y), inner_lower(xs),
+            lambda rows, y: inner_f(x[rows, None], y), inner_lower(x),
             inner_tail_scale, inner_cfg, t_edges=_INNER_T_EDGES)
         # an error at most tiny is the rounding of an underflowed envelope
         converged = _converged(value, error, inner_cfg) | (error <= _TINY)
         stats["evals"] += int(evals.sum())
-        stats["max_err"] = max(stats["max_err"], float(np.fmax.reduce(error)))
         if stats["failed_at"] is None and not converged.all():
-            stats["failed_at"] = xs[np.argmin(converged)]
-        return value
+            stats["failed_at"] = x[np.argmin(converged)]
+        return value[None], error[None]
 
-    outer = integrate_semi_infinite(outer_integrand, outer_lower, outer_cfg,
-                                    tail_scale=outer_tail_scale)
-    # Bound on the inner contribution to the total error, as the tighter
-    # of two conservative estimates over an effective outer extent of 10
-    # decay scales: (a) worst observed inner error times the extent, and
-    # (b) the inner tolerance promise inner_rel*|result| + inner_abs*extent.
-    extent = 10.0 * outer_tail_scale
-    inner_bound = min(
-        stats["max_err"] * extent,
-        inner_cfg.rel_tol * abs(outer.value) + inner_cfg.abs_tol * extent,
-    )
-    err = outer.error_estimate + inner_bound
-    converged = (stats["failed_at"] is None and
-                 bool(_converged(outer.value, err, config)))
+    outer = _result(*_semi_infinite_rows(
+        outer_integrand, [outer_lower], outer_tail_scale, outer_cfg,
+        _t_edges(config.split_points, outer_lower, outer_tail_scale)), config)
     level = "" if stats["failed_at"] is None else (
         f"inner integral non-converged at outer x = {stats['failed_at']!r}")
-    return IntegralResult(outer.value, err, outer.evaluations + stats["evals"],
-                          converged, level=level)
+    return replace(outer, evaluations=outer.evaluations + stats["evals"],
+                   converged=outer.converged and not level, level=level)

@@ -44,12 +44,16 @@ refuses a value whose bound exceeds 1e-16 of it.
 Grid: the test particle (omega_e = 2 pi 1e15 rad/s, omega_m = 2 pi 1e10
 rad/s); Drude gold (omega_p = 1.36e16 rad/s, gamma = 1e14 rad/s) and
 plasma gold (omega_p = 1.36e16 rad/s); electric and magnetic D, and the
-plasma's S; deriv 0 and 1; z_tilde 1e-3, 0.1 and 10.  Run from the
-repository root:
+plasma's S; deriv 0 and 1; z_tilde 1e-3, 0.1 and 10.  A second slice
+puts omega_m at 2 pi 1e7 rad/s (omega_m/omega_e = 1e-8, the narrowest
+Lorentzian): magnetic D on both surfaces, deriv 0 and 1, z_tilde 1e-3
+and 10.  Every row carries its omega_m.  Run from the repository root:
 
     python tests/make_ground_oracle.py
 
-It took about 40 minutes on a 2-vCPU host (see CHANGES.md).
+Rows already in the file are kept and only missing ones are computed;
+delete the file to recompute every row.  The first slice took about 40
+minutes on a 2-vCPU host, the second about 80 s a row (see CHANGES.md).
 """
 
 import json
@@ -66,13 +70,17 @@ SELF_CHECK = 1e-16
 
 OMEGA_E = 2.0 * math.pi * 1e15
 OMEGA_M = 2.0 * math.pi * 1e10
+# the narrow-Lorentzian slice, omega_m/omega_e = 1e-8
+OMEGA_M_SLOW = 2.0 * math.pi * 1e7
 SURFACES = {"drude": {"omega_p": 1.36e16, "gamma": 1e14},
             "plasma": {"omega_p": 1.36e16}}
 Z_TILDE = (1e-3, 0.1, 10.0)
+Z_TILDE_SLOW = (1e-3, 10.0)
 
 
 def grid():
-    """(surface, integral, z_tilde, deriv) of every row, in order."""
+    """(surface, integral, z_tilde, deriv, omega_m) of every row, in
+    order."""
     rows = []
     for surface in SURFACES:
         integrals = ("electric", "magnetic") + (
@@ -80,7 +88,11 @@ def grid():
         for which in integrals:
             for zt in Z_TILDE:
                 for deriv in (0, 1):
-                    rows.append((surface, which, zt, deriv))
+                    rows.append((surface, which, zt, deriv, OMEGA_M))
+    for surface in SURFACES:
+        for zt in Z_TILDE_SLOW:
+            for deriv in (0, 1):
+                rows.append((surface, "magnetic", zt, deriv, OMEGA_M_SLOW))
     return rows
 
 
@@ -106,10 +118,11 @@ def outer_points(zt, features):
     return [mp.mpf(0)] + inside + [mp.inf]
 
 
-def double_integral(surface: dict, electric: bool, zt, deriv: int):
+def double_integral(surface: dict, electric: bool, zt, deriv: int,
+                    omega_m: float):
     """(D, error bound) at the working precision."""
     omega_p, gamma = scales(surface)
-    w = mp.mpf(1) if electric else mp.mpf(OMEGA_M) / OMEGA_E
+    w = mp.mpf(1) if electric else mp.mpf(omega_m) / OMEGA_E
     zt = mp.mpf(zt)
 
     def inner(kappa):
@@ -163,25 +176,40 @@ def static_integral(surface: dict, zt, deriv: int):
     return value, abs(err)
 
 
+KEY = ("surface", "integral", "z_tilde", "deriv", "omega_m")
+
+
 def compute(row):
-    surface, which, zt, deriv = row
+    surface, which, zt, deriv, omega_m = row
     with mp.workdps(DPS):
         if which == "static":
             value, bound = static_integral(SURFACES[surface], zt, deriv)
         else:
             value, bound = double_integral(SURFACES[surface],
-                                           which == "electric", zt, deriv)
+                                           which == "electric", zt, deriv,
+                                           omega_m)
         if not bound <= SELF_CHECK * abs(value):
             raise RuntimeError(f"error bound {mp.nstr(bound, 3)} of "
                                f"{mp.nstr(value, 12)}: {row}")
-        return {"surface": surface, "integral": which, "z_tilde": zt,
-                "deriv": deriv, "value": mp.nstr(value, 20),
-                "error_bound": float(bound)}
+        return dict(zip(KEY, row), value=mp.nstr(value, 20),
+                    error_bound=float(bound))
 
 
 def main() -> None:
+    kept = {}
+    if OUT.exists():
+        table = json.loads(OUT.read_text())
+        for entry in table["rows"]:
+            # files from before the second slice name omega_m once
+            entry.setdefault("omega_m", table.get("omega_m"))
+            kept[tuple(entry[k] for k in KEY)] = {
+                **{k: entry[k] for k in KEY}, "value": entry["value"],
+                "error_bound": entry["error_bound"]}
     entries = []
     for row in grid():
+        if row in kept:
+            entries.append(kept[row])
+            continue
         start = time.perf_counter()
         entries.append(compute(row))
         print(f"{' '.join(map(str, row))}: {entries[-1]['value']} "
@@ -190,7 +218,7 @@ def main() -> None:
     OUT.write_text(json.dumps({
         "about": "ground-state integrals D and S of magcp.potentials "
                  "from mpmath alone; written by tests/make_ground_oracle.py",
-        "omega_e": OMEGA_E, "omega_m": OMEGA_M, "surfaces": SURFACES,
+        "omega_e": OMEGA_E, "surfaces": SURFACES,
         "dps": DPS, "rows": entries}, indent=1) + "\n")
 
 

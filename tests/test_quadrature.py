@@ -34,14 +34,20 @@ CFG = QuadratureConfig()
 
 
 # Frozen reference: the heap-based adaptive core that integrate_finite
-# used before the panel-array core, one integrand call per panel.
+# used before the panel-array core, one integrand call per panel.  An
+# integrand may return a pair (values, carried errors), as _panels takes
+# it: each panel then carries the K15 sum of those errors, which only the
+# final error estimate adds.
 
 def _panel(f, a: float, b: float):
-    """G7/K15 estimates on [a, b] plus a QUADPACK-style error bound."""
+    """G7/K15 estimates on [a, b], a QUADPACK-style error bound and the
+    carried error (0 for a plain integrand)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid + half * _NODES
-    y = np.asarray(f(x))
+    y = f(x)
+    y, e = y if isinstance(y, tuple) else (y, np.zeros(15))
+    y = np.asarray(y)
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)][0]
         raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
@@ -57,7 +63,7 @@ def _panel(f, a: float, b: float):
     eps = np.finfo(float).eps
     if resabs > np.finfo(float).tiny / (50.0 * eps):
         err = max(err, 50.0 * eps * resabs)
-    return k15, err, resabs
+    return k15, err, half * np.einsum("k,k->", np.asarray(e), _WEIGHTS_K)
 
 
 def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None,
@@ -79,9 +85,10 @@ def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None,
     counter = itertools.count()
     evals = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, _ = _panel(f, lo, hi)
+        val, err, carried = _panel(f, lo, hi)
         evals += 15
-        heapq.heappush(heap, (-err, next(counter), lo, hi, val, err))
+        heapq.heappush(heap, (-err, next(counter), lo, hi, val, err,
+                              carried))
     if after_initial is not None:
         after_initial()
 
@@ -91,17 +98,19 @@ def _heap_finite(f, a, b, config, breakpoints=(), max_panel_width=None,
         total_err = sum(item[5] for item in heap)
         if total_err <= max(config.rel_tol * abs(total), config.abs_tol):
             break
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        _, _, lo, hi, _, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         for seg in ((lo, mid), (mid, hi)):
-            val, err, _ = _panel(f, *seg)
+            val, err, carried = _panel(f, *seg)
             evals += 15
-            heapq.heappush(heap, (-err, next(counter), seg[0], seg[1], val, err))
+            heapq.heappush(heap, (-err, next(counter), seg[0], seg[1], val,
+                                  err, carried))
         subdivisions += 1
 
     panels = sorted(heap, key=lambda item: item[2])
     total = sum(item[4] for item in panels)
-    total_err = float(sum(item[5] for item in panels))
+    total_err = float(sum(item[5] for item in panels)
+                      + sum(item[6] for item in panels))
     converged = total_err <= max(config.rel_tol * abs(total), config.abs_tol)
     if isinstance(total, complex) and total.imag == 0.0:
         total = total.real
@@ -122,7 +131,10 @@ def _heap_semi_infinite(f, lower_limit, config, tail_scale, t_edges=()):
 
     def g(t):
         one_m = 1.0 - t
-        return np.asarray(f(a + s * t / one_m)) * (s / one_m**2)
+        y = f(a + s * t / one_m)
+        parts = y if isinstance(y, tuple) else (y,)
+        mapped = tuple(np.asarray(part) * (s / one_m**2) for part in parts)
+        return mapped if isinstance(y, tuple) else mapped[0]
 
     breakpoints = [(p - a) / (s + (p - a))
                    for p in config.split_points or () if p > a]
@@ -131,7 +143,9 @@ def _heap_semi_infinite(f, lower_limit, config, tail_scale, t_edges=()):
     tail = []
 
     def sample_tail():
-        tail.append(float(np.abs(np.asarray(f(np.array([x_max])))[0])))
+        y = f(np.array([x_max]))
+        y = y[0] if isinstance(y, tuple) else y
+        tail.append(float(np.abs(np.asarray(y)[0])))
 
     res = _heap_finite(g, 0.0, t_max, config, breakpoints=breakpoints,
                        after_initial=sample_tail)
@@ -218,7 +232,11 @@ def _per_node_nested(inner_f, outer_lower, inner_lower, config,
     The reference for the lockstep inner integrals and the batched outer
     panels: same budget split, same bookkeeping, the same graded initial
     inner panels, the heap core and a plain loop over the outer nodes.
-    ``inner_lower`` is a callable; the tail scales are floats.
+    The outer integrand returns each node's inner error beside its value,
+    so the heap outer carries them on its panels: the error estimate is
+    the outer one plus the sum of outer weight times inner error over the
+    final panels' nodes.  ``inner_lower`` is a callable; the tail scales
+    are floats.
     """
     inner_cfg = QuadratureConfig(
         rel_tol=config.rel_tol / 10.0, abs_tol=config.abs_tol / 10.0,
@@ -228,30 +246,27 @@ def _per_node_nested(inner_f, outer_lower, inner_lower, config,
         rel_tol=config.rel_tol / 2.0, abs_tol=config.abs_tol / 2.0,
         max_subdivisions=config.max_subdivisions,
         tail_decades=config.tail_decades, split_points=config.split_points)
-    stats = {"evals": 0, "failed_at": None, "max_err": 0.0}
+    stats = {"evals": 0, "failed_at": None}
 
     def outer_integrand(xs):
         out = np.empty(len(xs))
+        errors = np.empty(len(xs))
         for i, x in enumerate(xs):
             res = _heap_semi_infinite(
                 lambda y: inner_f(x, y), inner_lower(x), inner_cfg,
                 tail_scale=inner_tail_scale, t_edges=_INNER_T_EDGES)
             stats["evals"] += res.evaluations
-            stats["max_err"] = max(stats["max_err"], res.error_estimate)
             underflowed = res.error_estimate <= np.finfo(float).tiny
             if not (res.converged or underflowed) and \
                     stats["failed_at"] is None:
                 stats["failed_at"] = x
             out[i] = res.value
-        return out
+            errors[i] = res.error_estimate
+        return out, errors
 
     outer = _heap_semi_infinite(outer_integrand, outer_lower, outer_cfg,
                                 tail_scale=outer_tail_scale)
-    extent = 10.0 * outer_tail_scale
-    inner_bound = min(
-        stats["max_err"] * extent,
-        inner_cfg.rel_tol * abs(outer.value) + inner_cfg.abs_tol * extent)
-    err = outer.error_estimate + inner_bound
+    err = outer.error_estimate
     converged = (stats["failed_at"] is None and
                  err <= max(config.rel_tol * abs(outer.value),
                             config.abs_tol))
@@ -338,7 +353,8 @@ def test_batched_panel_rule_matches_panel():
     rng = np.random.default_rng(7)
     lo = rng.uniform(-2.0, 5.0, (4, 2))
     hi = lo + rng.uniform(1e-3, 4.0, (4, 2))
-    value, error = _panels(f, lo, hi)
+    value, error, carried = _panels(f, lo, hi)
+    assert carried is None
     for i, j in np.ndindex(lo.shape):
         ref_value, ref_error, _ = _panel(f, lo[i, j], hi[i, j])
         assert value[i, j] == pytest.approx(ref_value, rel=1e-15, abs=0.0)
@@ -356,9 +372,9 @@ def test_panel_rule_rows_do_not_depend_on_batch(f):
     rng = np.random.default_rng(11)
     lo = rng.uniform(-2.0, 5.0, (440, 3))
     hi = lo + rng.uniform(1e-3, 4.0, lo.shape)
-    value, error = _panels(f, lo, hi)
+    value, error, _ = _panels(f, lo, hi)
     for i in range(len(lo)):
-        row_value, row_error = _panels(f, lo[i:i + 1], hi[i:i + 1])
+        row_value, row_error, _ = _panels(f, lo[i:i + 1], hi[i:i + 1])
         assert value[i].tobytes() == row_value[0].tobytes()
         assert error[i].tobytes() == row_error[0].tobytes()
 
@@ -417,7 +433,7 @@ def test_finite_matches_heap_on_tied_errors():
     # only the oldest-first rule decides which is split next
     f = lambda x: (x - np.floor(x) > 1.0 / 3.0).astype(float)
     edges = np.arange(4.0)
-    _, err = _panels(f, edges[None, :-1], edges[None, 1:])
+    _, err, _ = _panels(f, edges[None, :-1], edges[None, 1:])
     assert err[0, 0] > 0.0 and np.all(err == err[0, 0])
     res, _ = _assert_matches_heap(f, 0.0, 3.0, QuadratureConfig(
         rel_tol=1e-12, abs_tol=0.0, max_subdivisions=10),
