@@ -3,6 +3,9 @@
 Subcommands: potential | force | equilibrium | threshold | validate.
 potential, force and threshold share one loop over the distance grid,
 _sweep, and differ only in the row they compute for one distance.
+validate writes the rows of the paper's acceptance criteria
+(magcp.acceptance, imported only then), which run on fixed inputs: of
+the job it reads only the output settings.
 Configuration is a single JSON document.  FIELDS types its fields, and
 a block that feeds a library constructor takes them from the
 constructor's annotations; _block refuses an unknown field or a value of
@@ -10,8 +13,8 @@ the wrong JSON type, and _build a missing required one, naming it by its
 dotted path (surface.omega_p).
 All numeric output is dimensionless with the unit convention stated in a
 header line.  Exit codes: 0 success, 2 config error, 3 no result (e.g.
-no equilibrium in the bracket), 4 quadrature non-convergence (partial
-output is still written).
+no equilibrium in the bracket), 4 quadrature non-convergence, or a
+failed check in validate (partial output is still written).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import asymptotics, mechanics, potentials
+from . import mechanics, potentials
 from .materials import Drude, PerfectConductor, Plasma
 from .params import EnvironmentSpec, Geometry, build_particle
 from .quadrature import QuadratureConfig
@@ -191,12 +194,15 @@ class JobConfig:
 
 
 def _fmt(value, precision: int) -> str:
-    """A cell as CSV text."""
+    """A cell as CSV text; text holding a comma, quote or line break is
+    quoted, its quotes doubled (RFC 4180)."""
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return str(value).lower()
     if isinstance(value, str):
+        if any(ch in value for ch in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
         return value
     return format(float(value), f".{precision}e")
 
@@ -308,42 +314,10 @@ def cmd_equilibrium(cfg: JobConfig) -> int:
 
 
 def cmd_validate(cfg: JobConfig) -> int:
-    """Cross-representation and asymptotic oracle checks, one row each
-    with its deviation, tolerance and whether it passed."""
-    particle = cfg.particle
-    pc = PerfectConductor()
-    checks: list[tuple[str, float, float]] = []  # name, deviation, tolerance
-
-    worst = 0.0
-    for zt in (0.01, 0.1, 1.0, 10.0, 100.0):
-        geo = Geometry(zt / particle.k_e)
-        ue, _ = potentials.u_e_ground(particle, pc, geo, cfg.quad,
-                                      strict=False)
-        uec, _ = potentials.u_e_pc_closed(particle, geo, cfg.quad,
-                                          strict=False)
-        um, _ = potentials.u_m_ground_broadband(particle, pc, geo, cfg.quad,
-                                                strict=False)
-        umc, _ = potentials.u_m_pc_closed(particle, geo, cfg.quad,
-                                          strict=False)
-        worst = max(worst, abs(ue / uec - 1.0), abs(um / umc - 1.0))
-    checks.append(("pc closed-form equivalence (max rel dev)", worst, 1e-6))
-
-    zt = 1e-4
-    geo = Geometry(zt / particle.k_e)
-    ue, _ = potentials.u_e_ground(particle, pc, geo, cfg.quad, strict=False)
-    law = asymptotics.table1_potential(particle, pc, geo,
-                                       asymptotics.Region.I, "electric")
-    checks.append(("pc near-field electric law", abs(ue / law - 1.0), 0.02))
-
-    wzt = 1e-3
-    geo = Geometry(wzt / particle.omega_tilde / particle.k_e)
-    u0, _ = potentials.u_m_excited0(particle, pc, geo, cfg.quad, strict=False)
-    u0c = potentials.u_m0_pc_closed(particle, geo)
-    checks.append(("excited-state closed form", abs(u0 / u0c - 1.0), 1e-6))
-
-    rows = [{"check": name, "deviation": dev, "tolerance": tol,
-             "passed": dev < tol} for name, dev, tol in checks]
-    _emit(["check", "deviation", "tolerance", "passed"], rows, cfg)
+    """Rows of the paper's acceptance criteria; only cfg's output counts."""
+    from .acceptance import COLUMNS, CRITERIA
+    rows = [row for criterion in CRITERIA for row in criterion()]
+    _emit(COLUMNS, rows, cfg)
     return EXIT_OK if all(row["passed"] for row in rows) \
         else EXIT_NOT_CONVERGED
 

@@ -237,8 +237,14 @@ def u_m_static(particle: ParticleSpec, surface: SurfaceModel,
             out *= -2.0 * kappa_t
         return out
 
-    res = integrate_semi_infinite(integrand, 0.0, quad,
-                                  tail_scale=1.0 / (2.0 * zt))
+    # r_s(kappa, 0) turns over at kappa = omega_p, far below the envelope
+    # scale 1/(2z) near contact: a ladder between the two samples both
+    envelope = 1.0 / (2.0 * zt)
+    k_p = surface.omega_p / particle.omega_e
+    res = integrate_semi_infinite(
+        integrand, 0.0, replace(quad, split_points=_ladder(
+            min(k_p, envelope), max(k_p, envelope))),
+        tail_scale=envelope)
     return _finish(-3.0 / 8.0 * eta_s2, res.value, res, "magnetostatic shift",
                    strict)
 

@@ -1,29 +1,14 @@
 """Shared fixtures: reference particle, gold-like surfaces, tolerances."""
 
-import math
 from collections import Counter
 
 import pytest
 
-from magcp import Drude, Geometry, PerfectConductor, Plasma, \
-    QuadratureConfig, build_particle, potentials
-
-OMEGA_E = 2.0 * math.pi * 1.0e15
-OMEGA_M = 2.0 * math.pi * 1.0e10
-GOLD_OMEGA_P = 1.36e16
-GOLD_GAMMA = 1.0e14
-
-
-def make_particle(spin=100.0, omega_m=OMEGA_M, gamma_0=1.8e7):
-    return build_particle(omega_e=OMEGA_E, omega_m=omega_m, spin=spin,
-                          dipole_moment_au=0.5, gamma_0=gamma_0)
-
-
-def resonant_drude(p, q_factor=1e4, delta_p=-1e2):
-    """Drude surface with its plasmon resonance near p's omega_m; the
-    defaults give Re eps(omega_m) = -1.04."""
-    gamma = p.omega_m / (q_factor + delta_p)
-    return Drude(omega_p=math.sqrt(2.0) * q_factor * gamma, gamma=gamma)
+from magcp import acceptance, potentials
+# the reference particle, gold and the finite-difference force are the
+# acceptance criteria's
+from magcp.acceptance import FD_REL_STEP, GOLD_GAMMA, GOLD_OMEGA_P, \
+    OMEGA_E, OMEGA_M, fd_force, make_particle, resonant_drude  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -33,29 +18,27 @@ def particle():
 
 @pytest.fixture(scope="session")
 def pc():
-    return PerfectConductor()
+    return acceptance.PC
 
 
 @pytest.fixture(scope="session")
 def gold_drude():
-    return Drude(omega_p=GOLD_OMEGA_P, gamma=GOLD_GAMMA)
+    return acceptance.GOLD
 
 
 @pytest.fixture(scope="session")
 def gold_plasma():
-    return Plasma(omega_p=GOLD_OMEGA_P)
+    return acceptance.PLASMA
 
 
 @pytest.fixture(scope="session")
 def quad():
-    return QuadratureConfig()
+    return acceptance.QUAD
 
 
 @pytest.fixture(scope="session")
 def quad_fast():
-    # metal double integrals are much cheaper at this tolerance and the
-    # acceptance tolerances are percent-level
-    return QuadratureConfig(rel_tol=1e-6, abs_tol=1e-14)
+    return acceptance.QUAD_FAST
 
 
 # the component evaluators a representation choice can route to
@@ -80,19 +63,3 @@ def component_calls(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(potentials, name, counting)
     return counts
-
-
-FD_REL_STEP = 1e-4  # central-difference step, relative to z
-
-
-def fd_force(name, particle, surface, geometry, quad):
-    """Minus the central difference of potentials.component(name) at
-    z*(1 +- FD_REL_STEP): a force that does not differentiate under the
-    integral sign, to check the analytic one against."""
-    zt = geometry.z_tilde(particle)
-    h = FD_REL_STEP * zt
-    u_p, _ = potentials.component(name, particle, surface,
-                                  Geometry((zt + h) / particle.k_e), quad)
-    u_m, _ = potentials.component(name, particle, surface,
-                                  Geometry((zt - h) / particle.k_e), quad)
-    return -(u_p - u_m) / (2 * h)

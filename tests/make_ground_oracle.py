@@ -47,13 +47,16 @@ plasma gold (omega_p = 1.36e16 rad/s); electric and magnetic D, and the
 plasma's S; deriv 0 and 1; z_tilde 1e-3, 0.1 and 10.  A second slice
 puts omega_m at 2 pi 1e7 rad/s (omega_m/omega_e = 1e-8, the narrowest
 Lorentzian): magnetic D on both surfaces, deriv 0 and 1, z_tilde 1e-3
-and 10.  Every row carries its omega_m.  Run from the repository root:
+and 10.  A third holds the plasma's static slope S (deriv 1) at
+z_tilde 2.67e-4 and 5.34e-4.  Every row carries its omega_m.  Run from
+the repository root:
 
     python tests/make_ground_oracle.py
 
 Rows already in the file are kept and only missing ones are computed;
 delete the file to recompute every row.  The first slice took about 40
-minutes on a 2-vCPU host, the second about 80 s a row (see CHANGES.md).
+minutes on a 2-vCPU host, the second about 80 s a row, the third a
+second a row (see CHANGES.md).
 """
 
 import json
@@ -76,6 +79,9 @@ SURFACES = {"drude": {"omega_p": 1.36e16, "gamma": 1e14},
             "plasma": {"omega_p": 1.36e16}}
 Z_TILDE = (1e-3, 0.1, 10.0)
 Z_TILDE_SLOW = (1e-3, 10.0)
+# the plasma static slope nearest contact, where the static r_s turns
+# over at kappa = omega_p, hundreds of times below the envelope 1/(2z)
+Z_TILDE_CONTACT = (2.67e-4, 5.34e-4)
 
 
 def grid():
@@ -93,6 +99,8 @@ def grid():
         for zt in Z_TILDE_SLOW:
             for deriv in (0, 1):
                 rows.append((surface, "magnetic", zt, deriv, OMEGA_M_SLOW))
+    for zt in Z_TILDE_CONTACT:
+        rows.append(("plasma", "static", zt, 1, OMEGA_M))
     return rows
 
 

@@ -1,378 +1,45 @@
-"""Acceptance checks, one printed pass/fail line per criterion.
+"""Each of magcp.acceptance's nine criteria passes; ``magcp validate``
+prints their rows with each deviation, tolerance and detail."""
 
-Run with ``pytest -s tests/test_acceptance.py`` to see the lines.  Every
-criterion is expected to pass.
-
-Three sub-checks compare the numerics with laws derived here rather than
-with coefficients as the paper prints them, because the defining
-integrals contradict those coefficients:
-
-* criterion 2, Drude Region II magnetic shift: the tabulated law carries
-  the skin-depth factor (1 - 3 delta_m/z0), derived in
-  :func:`magcp.asymptotics.table1_potential`; the bare perfect-conductor
-  law is 7 % off at z_tilde = 1e3;
-* criterion 7, resonant shift of |S, 0>: the epsilon form carries a minus
-  sign, -(3 eta S(S+1) wt^2/128 z) Re[(e-1)(e+5)/(e+1)], not the printed
-  plus sign;
-* criterion 9, non-retarded spin-flip rate over a perfect conductor: the
-  rate is Gamma0 eta S(S+1) wt^3/2, not the printed /3.
-
-The docstrings of criteria 7 and 9 give the derivations.  The detail
-strings still report the deviation from the printed coefficient.
-"""
-
-import math
-
-import pytest
-import scipy.constants as sc
-
-from magcp import Drude, Geometry, PerfectConductor, Plasma, \
-    QuadratureConfig
-from magcp.asymptotics import Region, coefficients, table1_potential
-from magcp.cli import main as cli_main
-from magcp.mechanics import find_equilibrium, spin_threshold
-from magcp.potentials import (
-    delta_gamma_m,
-    u_e_ground,
-    u_e_pc_closed,
-    u_m0_pc_closed,
-    u_m_excited0,
-    u_m_ground_broadband,
-    u_m_pc_closed,
-    u_m_static,
-)
-
-from conftest import GOLD_GAMMA, GOLD_OMEGA_P, fd_force, make_particle, \
-    resonant_drude
-
-PC = PerfectConductor()
-GOLD = Drude(omega_p=GOLD_OMEGA_P, gamma=GOLD_GAMMA)
-PLASMA = Plasma(omega_p=GOLD_OMEGA_P)
-QUAD = QuadratureConfig()
-QUAD_FAST = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-14)
+from magcp import acceptance
 
 
-def geo(p, zt):
-    return Geometry(zt / p.k_e)
-
-
-def report(num, description, checks):
-    ok = all(good for _, good, _ in checks)
-    print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {num}: {description}")
-    for label, good, detail in checks:
-        print(f"    {'ok  ' if good else 'BAD '}{label}: {detail}")
-    assert ok, f"criterion {num} failed: " + "; ".join(
-        label for label, good, _ in checks if not good)
-
-
-def rel_dev(value, reference):
-    return abs(value / reference - 1.0)
+def passes(criterion):
+    rows = criterion()
+    assert rows and all(row["passed"] for row in rows), rows
 
 
 def test_criterion_1_pc_closed_form_equivalence():
-    p = make_particle()
-    checks = []
-    for zt in (0.01, 0.1, 1.0, 10.0, 100.0):
-        g = geo(p, zt)
-        ue, _ = u_e_ground(p, PC, g, QUAD)
-        uec, _ = u_e_pc_closed(p, g, QUAD)
-        um, _ = u_m_ground_broadband(p, PC, g, QUAD)
-        umc, _ = u_m_pc_closed(p, g, QUAD)
-        dev = max(rel_dev(ue, uec), rel_dev(um, umc))
-        checks.append((f"z_tilde={zt}", dev < 1e-6, f"max dev {dev:.2e}"))
-    report(1, "perfect-conductor double integrals equal the "
-              "single-integral forms to 1e-6", checks)
-
-
-def _numeric_table_entry(p, surface, zt, kind):
-    g = geo(p, zt)
-    if kind == "electric":
-        if isinstance(surface, PerfectConductor):
-            return u_e_pc_closed(p, g, QUAD)[0]
-        return u_e_ground(p, surface, g, QUAD_FAST, strict=False)[0]
-    if isinstance(surface, PerfectConductor):
-        um = u_m_pc_closed(p, g, QUAD)[0]
-    else:
-        um = u_m_ground_broadband(p, surface, g, QUAD_FAST, strict=False)[0]
-    return um + u_m_static(p, surface, g, QUAD_FAST, strict=False)[0]
+    passes(acceptance.pc_closed_form_equivalence)
 
 
 def test_criterion_2_asymptotic_region_laws():
-    p = make_particle()
-    cases = [("PC", PC), ("Drude gold", GOLD), ("Plasma gold", PLASMA)]
-    # deep-interior distances: x100 inside every region inequality
-    depths = {Region.I: 1e-4, Region.II: 1e3, Region.III: 1e7}
-    checks = []
-    for name, surface in cases:
-        for region, zt in depths.items():
-            for kind in ("electric", "magnetic"):
-                law = table1_potential(p, surface, geo(p, zt), region, kind)
-                num = _numeric_table_entry(p, surface, zt, kind)
-                dev = rel_dev(num, law)
-                checks.append((f"{name} {region.value} {kind}", dev < 0.02,
-                               f"dev {dev:.2e}"))
-    report(2, "full numerics match every tabulated asymptotic law to 2% "
-              "deep inside each region", checks)
+    passes(acceptance.asymptotic_region_laws)
 
 
 def test_criterion_3_magnetostatic_term():
-    p = make_particle()
-    zt = 1e-4
-    g = geo(p, zt)
-    v_d, _ = u_m_static(p, GOLD, g, QUAD)
-    v_pc, _ = u_m_static(p, PC, g, QUAD)
-    exact_pc = 3.0 / 32.0 * p.eta * p.spin**2 / zt**3
-    v_pl, _ = u_m_static(p, PLASMA, g, QUAD)
-    s2_piece = 3.0 / 64.0 * (PLASMA.omega_p / p.omega_e) ** 2 * p.eta \
-        * p.spin**2 / zt
-    checks = [
-        ("Drude exactly zero", v_d == 0.0, f"value {v_d}"),
-        ("PC exact 3*eta*S^2/(32 z^3)", rel_dev(v_pc, exact_pc) < 1e-12,
-         f"dev {rel_dev(v_pc, exact_pc):.2e}"),
-        ("Plasma positive", v_pl > 0.0, f"value {v_pl:.3e}"),
-        ("Plasma near-field S^2 coefficient to 5%",
-         rel_dev(v_pl, s2_piece) < 0.05, f"dev {rel_dev(v_pl, s2_piece):.2e}"),
-    ]
-    report(3, "zero-frequency magnetic image term by surface model", checks)
+    passes(acceptance.magnetostatic_term)
 
 
 def test_criterion_4_spin_thresholds():
-    p = make_particle()
-    g_near = geo(p, 1e-3)
-    s0, s0_cp, _ = spin_threshold(p, PC, g_near, QUAD)
-    g10 = Geometry(10e-9)
-    s_drude = spin_threshold(p, GOLD, g10, QUAD_FAST).with_static
-    s_plasma = spin_threshold(p, PLASMA, g10, QUAD_FAST).with_static
-    target = math.sqrt(0.5 / p.eta)
-    checks = [
-        ("S0 = sqrt(1/(2 eta)) = 48.4 +- 0.5", abs(s0 - 48.4) < 0.5,
-         f"S0 {s0:.3f} (analytic {target:.3f})"),
-        ("S0_CP = 1/eta = 4695 +- 50", abs(s0_cp - 4695.0) < 50.0,
-         f"S0_CP {s0_cp:.1f}"),
-        ("Drude gold 10 nm within factor 3 of 1e8",
-         1e8 / 3.0 < s_drude < 3e8, f"S {s_drude:.3e}"),
-        ("Plasma gold 10 nm within factor 10 of 1e2",
-         10.0 < s_plasma < 1e3, f"S {s_plasma:.3e}"),
-    ]
-    report(4, "repulsion thresholds for the four headline cases", checks)
+    passes(acceptance.spin_thresholds)
 
 
 def test_criterion_5_levitation_equilibria():
-    eqs = []
-    for spin in (1e5, 2e5):
-        p = make_particle(spin=spin)
-        eqs.append(find_equilibrium(p, PC, QUAD, include_static=False,
-                                    bracket=(0.5, 50.0)))
-    p100 = make_particle(spin=100.0)
-    eq_s = find_equilibrium(p100, PC, QUAD, include_static=True,
-                            bracket=(1.0, 100.0))
-    cp_dev = rel_dev(eqs[0].z_tilde_eq, eqs[0].analytic_estimate)
-    s_dev = rel_dev(eqs[1].z_tilde_eq, eqs[0].z_tilde_eq)
-    st_dev = rel_dev(eq_s.z_tilde_eq, eq_s.analytic_estimate)
-    checks = [
-        ("CP-only root matches quarter-power law to 10%", cp_dev < 0.10,
-         f"root {eqs[0].z_tilde_eq:.4f} vs {eqs[0].analytic_estimate:.4f}"),
-        ("CP-only root S-independent to 1%", s_dev < 0.01,
-         f"dev {s_dev:.2e}"),
-        ("static-included root matches its law to 10%", st_dev < 0.10,
-         f"root {eq_s.z_tilde_eq:.4f} vs {eq_s.analytic_estimate:.4f}"),
-        ("both classified stable", eqs[0].stable and eq_s.stable,
-         f"{eqs[0].stable}, {eq_s.stable}"),
-    ]
-    report(5, "levitation equilibria against the analytic estimates", checks)
+    passes(acceptance.levitation_equilibria)
 
 
 def test_criterion_6_excited_state_closed_form():
-    p = make_particle(spin=3.0)
-    checks = []
-    worst = 0.0
-    for wzt in (1e-3, 1e-2, 0.1, 1.0, 10.0):
-        g = geo(p, wzt / p.omega_tilde)
-        v, _ = u_m_excited0(p, PC, g, QUAD)
-        worst = max(worst, rel_dev(v, u_m0_pc_closed(p, g)))
-    checks.append(("closed form over three decades to 1e-6", worst < 1e-6,
-                   f"max dev {worst:.2e}"))
-    g = geo(p, 1e-3 / p.omega_tilde)
-    v, _ = u_m_excited0(p, PC, g, QUAD)
-    nr = 3.0 * p.eta * p.spin * (p.spin + 1.0) \
-        / (64.0 * geo(p, 1e-3 / p.omega_tilde).z_tilde(p) ** 3)
-    checks.append(("non-retarded limit to 1%", rel_dev(v, nr) < 0.01,
-                   f"dev {rel_dev(v, nr):.2e}"))
-    p1 = make_particle(spin=1.0)
-    v1, _ = u_m_excited0(p1, PC, g, QUAD)
-    ratio = v / v1
-    checks.append(("S(S+1) scaling exact at S in {1, 3}",
-                   abs(ratio - 6.0) < 1e-9, f"ratio {ratio:.12f}"))
-    report(6, "resonant excited-sublevel shift closed form and scaling",
-           checks)
+    passes(acceptance.excited_state_closed_form)
 
 
 def test_criterion_7_surface_resonance():
-    """Resonant shift and flip rate of |S, 0> near a plasmon resonance.
-
-    Sign of the epsilon form: at real frequency and in the near field
-    (K = kappa/k_m >> sqrt|e|), r_p -> (e-1)/(e+1) and
-    r_s -> +(e-1)/(4 K^2), the imaginary-axis -(e-1) xi^2/(4 kappa^2 c^2)
-    with xi^2 -> -omega_m^2.  The resonant integral
-    J = int dK exp(-a K) [r_p + r_s K^2], with a = 2 wt z, is then
-    J ~ (e-1)(e+5)/(4 a (e+1)), and
-    U = -(3/16) eta S(S+1) wt^3 Re J
-      = -(3 eta S(S+1) wt^2/128 z) Re[(e-1)(e+5)/(e+1)].
-    The sign of the -(3/16) prefactor is pinned by criterion 6 against the
-    perfect-conductor closed form.  The paper's Q/delta_p form agrees only
-    with this sign: near e = -1 the bracket's real part tends to
-    -2 Q/delta_p.  The printed epsilon form has a plus sign.
-    """
-    from magcp.asymptotics import surface_resonance_potential, \
-        surface_resonance_rate
-    from magcp.materials import permittivity_real_freq
-
-    p = make_particle(spin=5.0)
-    q_factor, delta_p = 1e4, -1e2
-    surface = resonant_drude(p, q_factor, delta_p)
-    zt = 1.0
-    g = geo(p, zt)
-    s_fac = 3.0 * p.eta * p.spin * (p.spin + 1.0) * p.omega_tilde**2 \
-        / (64.0 * zt)
-    numeric, _ = u_m_excited0(p, surface, g, QUAD, strict=False)
-
-    # the defining integral: -(3 eta S(S+1) wt^2 / 128 z) Re[(e-1)(e+5)/(e+1)]
-    eps = permittivity_real_freq(surface, p.omega_m)
-    eps_form = -0.5 * s_fac * ((eps - 1.0) * (eps + 5.0) / (eps + 1.0)).real
-    dev_eps = rel_dev(numeric, eps_form)
-    # the printed form has the opposite sign
-    dev_printed = rel_dev(numeric, -eps_form)
-    corrected = surface_resonance_potential(p, surface, g, form="epsilon")
-    dev_corr = rel_dev(numeric, corrected)
-
-    q_form = surface_resonance_potential(p, surface, g, form="q")
-    dev_q = rel_dev(corrected, q_form)
-
-    rate_num, _ = delta_gamma_m(p, surface, g, QUAD, m_s=0.0, strict=False)
-    rate_law = surface_resonance_rate(p, surface, g, form="q")
-    dev_rate = rel_dev(rate_num, rate_law)
-
-    checks = [
-        ("numeric matches the minus-sign epsilon form to 5%",
-         dev_eps < 0.05,
-         f"dev {dev_eps:.2e} (printed plus-sign form: dev "
-         f"{dev_printed:.2e}; surface_resonance_potential: dev "
-         f"{dev_corr:.2e})"),
-        ("epsilon and Q/delta_p forms agree to 1/|delta_p|",
-         dev_q < 1.0 / abs(delta_p) + 5e-3, f"dev {dev_q:.2e}"),
-        ("flip rate matches the Q/delta_p^2 law to 10%", dev_rate < 0.10,
-         f"dev {dev_rate:.2e}"),
-    ]
-    report(7, "plasmon-resonance shift and flip rate near a Drude surface",
-           checks)
+    passes(acceptance.surface_resonance)
 
 
 def test_criterion_8_property_suite():
-    p3 = make_particle(spin=3.0)
-    p12 = make_particle(spin=12.0)
-    g = geo(p3, 0.7)
-    lin = u_m_pc_closed(p12, g, QUAD)[0] / u_m_pc_closed(p3, g, QUAD)[0]
-    quad_ratio = u_m_static(p12, PC, g, QUAD)[0] \
-        / u_m_static(p3, PC, g, QUAD)[0]
-    p = make_particle()
-    signs_ok = True
-    for zt in (0.03, 1.0, 30.0):
-        gg = geo(p, zt)
-        signs_ok &= u_e_pc_closed(p, gg, QUAD)[0] < 0.0
-        signs_ok &= u_m_pc_closed(p, gg, QUAD)[0] > 0.0
-
-    # model degeneracy chain on the electric shift at z_tilde = 1
-    g1 = geo(p, 1.0)
-    u_drude = u_e_ground(p, Drude(omega_p=GOLD_OMEGA_P, gamma=1e8), g1,
-                         QUAD_FAST, strict=False)[0]
-    u_plasma = u_e_ground(p, PLASMA, g1, QUAD_FAST, strict=False)[0]
-    u_big = u_e_ground(p, Plasma(omega_p=1e20), g1, QUAD_FAST,
-                       strict=False)[0]
-    u_pc = u_e_pc_closed(p, g1, QUAD)[0]
-    chain1 = rel_dev(u_drude, u_plasma)
-    chain2 = rel_dev(u_big, u_pc)
-
-    from magcp.mechanics import force_breakdown
-    a = force_breakdown(p, PC, geo(p, 2.0), QUAD)
-    fd_dev = max(rel_dev(fd_force("electric", p, PC, geo(p, 2.0), QUAD),
-                         a.f_e),
-                 rel_dev(fd_force("magnetic", p, PC, geo(p, 2.0), QUAD),
-                         a.f_m_minus))
-
-    import json
-    import tempfile
-    from pathlib import Path
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "job.json"
-        cfg.write_text(json.dumps({
-            "particle": {"omega_e": p.omega_e, "omega_m": p.omega_m,
-                         "dipole_moment_au": 0.5, "spin": 100,
-                         "gamma_0": 1.8e7},
-            "surface": {"model": "perfect_conductor"},
-            "grid": {"log": [0.5, 5.0, 3]},
-        }))
-        outs = []
-        for name in ("a.csv", "b.csv"):
-            out = Path(tmp) / name
-            cli_main(["potential", "--config", str(cfg),
-                      "--output", str(out)])
-            outs.append(out.read_bytes())
-        bit_stable = outs[0] == outs[1]
-
-    checks = [
-        ("broadband magnetic shift exactly linear in S",
-         abs(lin - 4.0) < 1e-12, f"ratio {lin:.14f}"),
-        ("static image shift exactly quadratic in S",
-         abs(quad_ratio - 16.0) < 1e-11, f"ratio {quad_ratio:.14f}"),
-        ("sign structure (electric attracts, magnetic repels)", signs_ok,
-         "checked at z_tilde in {0.03, 1, 30}"),
-        ("Drude(gamma->0) -> plasma to 0.1%", chain1 < 1e-3,
-         f"dev {chain1:.2e}"),
-        ("plasma(omega_p->inf) -> PC to 1%", chain2 < 1e-2,
-         f"dev {chain2:.2e}"),
-        ("analytic vs finite-difference forces to 1e-4", fd_dev < 1e-4,
-         f"dev {fd_dev:.2e}"),
-        ("CLI output bit-stable across runs", bit_stable, "byte-identical"),
-    ]
-    report(8, "scaling, sign, degeneracy, differentiation and determinism "
-              "properties", checks)
+    passes(acceptance.property_suite)
 
 
 def test_criterion_9_spin_flip_rate_formula():
-    """Near-zone spin-flip rate of |S, 0> above a perfect conductor.
-
-    The image of an in-plane magnetic dipole in a perfect conductor is
-    parallel to it, so in the near zone the surface doubles the flip rate:
-    Delta Gamma_m -> Gamma_m,free, the free-space magnetic-dipole rate
-    mu0 |m|^2 k_m^3/(3 pi hbar) with |m|^2 = (hbar gyro)^2 S(S+1)/2.  In
-    units of Gamma0 = |d|^2 k_e^3/(3 pi eps0 hbar) that is
-    eta S(S+1) wt^3/2, not the printed /3.  The same normalisation gives
-    the electric contact limit -Gamma0 pinned in test_potentials.
-    """
-    p = make_particle(spin=100.0)
-    vals = []
-    for wzt in (1e-3, 1e-2):
-        g = geo(p, wzt / p.omega_tilde)
-        v, res = delta_gamma_m(p, PC, g, QUAD, m_s=0.0)
-        assert res.evaluations > 0
-        vals.append(v)
-    k_m = p.omega_m / sc.c
-    m_sq = (sc.hbar * p.gyro_ratio) ** 2 * p.spin * (p.spin + 1.0) / 2.0
-    gamma_m_free = sc.mu_0 * m_sq * k_m**3 / (3.0 * math.pi * sc.hbar)
-    dev_free = rel_dev(vals[0], gamma_m_free / p.gamma_0_free)
-    printed = p.eta * p.spin * (p.spin + 1.0) * p.omega_tilde**3 / 3.0
-    dev_printed = rel_dev(vals[0], printed)
-    z_dev = rel_dev(vals[1], vals[0])
-    hz = vals[0] * p.gamma_0_free / (2.0 * math.pi)
-    checks = [
-        ("matches the free-space magnetic rate Gamma_m,free to 5%",
-         dev_free < 0.05,
-         f"dev {dev_free:.2e} (printed Gamma0*eta*S(S+1)*wt^3/3: dev "
-         f"{dev_printed:.2e})"),
-        ("z-independent to 5% over one decade", z_dev < 0.05,
-         f"dev {z_dev:.2e}"),
-        ("prose magnitude ~1e-9 Hz within two orders", 1e-11 < hz < 1e-7,
-         f"{hz:.2e} Hz"),
-    ]
-    report(9, "non-retarded spin-flip rate above a perfect conductor",
-           checks)
+    passes(acceptance.spin_flip_rate_formula)

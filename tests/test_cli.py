@@ -13,7 +13,7 @@ import pytest
 import magcp
 from magcp import EnvironmentSpec, Geometry, mechanics, potentials
 from magcp.cli import EXIT_CONFIG, EXIT_NO_RESULT, EXIT_NOT_CONVERGED, \
-    EXIT_OK, JobConfig, UNITS_LINE, main
+    EXIT_OK, JobConfig, UNITS_LINE, _emit, main
 
 # Output of potential, force, threshold and equilibrium on FROZEN_DOC, as
 # the CLI wrote it before its sweeps shared one loop; keys "<command>
@@ -65,7 +65,7 @@ def test_import_leaves_scipy_optimize_unloaded():
     # support) and scipy.special (24 MB with it) are not needed at all:
     # the constants are written out and _exp_e1 sums E1 itself, so the
     # plasmon-pole add-back and the perfect-conductor closed forms load
-    # neither
+    # neither.  The acceptance criteria load only for validate
     src = str(Path(magcp.__file__).resolve().parent.parent)
     probe = ("import sys, magcp, magcp.cli; "
              "p = magcp.build_particle(omega_e=6e15, omega_m=6e10, spin=1, "
@@ -74,11 +74,11 @@ def test_import_leaves_scipy_optimize_unloaded():
              "magcp.decay_breakdown(p, magcp.Plasma(1.36e16), g, q, m_s=0); "
              "magcp.force_breakdown(p, magcp.PerfectConductor(), g, q); "
              "print([m in sys.modules for m in ('scipy.optimize', "
-             "'scipy.special', 'scipy.constants')])")
+             "'scipy.special', 'scipy.constants', 'magcp.acceptance')])")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False, False]"
+    assert out.stdout.strip() == "[False, False, False, False]"
 
 
 def test_output_bit_stable(tmp_path):
@@ -112,7 +112,8 @@ def test_json_format(tmp_path):
     assert csv_rows(text)[0]["spin_without_static"] == "inf"
     code, text = run(tmp_path, base_doc(), "validate", "--format", "json")
     assert code == EXIT_OK
-    assert [row["passed"] for row in strict_json(text)["rows"]] == [True] * 3
+    assert [row["passed"] for row in strict_json(text)["rows"]] == \
+        [True] * VALIDATE_ROWS
 
 
 def test_grid_override(tmp_path):
@@ -231,19 +232,73 @@ def test_non_converged_row_exits_4(tmp_path, capsys, command):
     assert capsys.readouterr().out == ""
 
 
+# one row per sub-check of the nine acceptance criteria
+VALIDATE_ROWS = 51
+
+
 def test_validate_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc())
     assert main(["validate", "--config", cfg]) == EXIT_OK
     rows = csv_rows(capsys.readouterr().out)
-    assert len(rows) == 3
+    assert len(rows) == VALIDATE_ROWS
     assert all(row["passed"] == "true" for row in rows)
+    assert sorted({row["criterion"] for row in rows}) == \
+        [str(n) for n in range(1, 10)]
+    # a label with a comma stays one cell
+    assert "sign structure (electric attracts, magnetic repels)" in \
+        [row["check"] for row in rows]
 
 
 def test_validate_writes_its_output_file(tmp_path, capsys):
     code, text = run(tmp_path, base_doc(), "validate")
     assert code == EXIT_OK
-    assert [row["passed"] for row in csv_rows(text)] == ["true"] * 3
+    assert [row["passed"] for row in csv_rows(text)] == \
+        ["true"] * VALIDATE_ROWS
     assert capsys.readouterr().out == ""
+
+
+def test_validate_ignores_the_job_physics_and_quadrature(tmp_path):
+    # the criteria run on their own particle, surfaces and quadrature, so
+    # a job's spin, surface and tolerance cannot move a check
+    first = base_doc(quadrature={"rel_tol": 1e-8})
+    second = base_doc(surface={"model": "drude", "omega_p": 1.36e16,
+                               "gamma": 1e14},
+                      quadrature={"rel_tol": 0.05})
+    second["particle"]["spin"] = 7
+    outs = [run(tmp_path, doc, "validate") for doc in (first, second)]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == EXIT_OK
+
+
+def test_validate_exits_4_when_a_criterion_fails(tmp_path, monkeypatch):
+    from magcp import acceptance
+
+    def failing():
+        rows = acceptance.magnetostatic_term()
+        rows[0]["passed"] = False
+        return rows
+    criteria = list(acceptance.CRITERIA)
+    criteria[2] = failing
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    code, text = run(tmp_path, base_doc(), "validate")
+    assert code == EXIT_NOT_CONVERGED
+    rows = csv_rows(text)
+    assert len(rows) == VALIDATE_ROWS
+    assert [(row["criterion"], row["check"]) for row in rows
+            if row["passed"] != "true"] == [("3", "Drude exactly zero")]
+
+
+def test_csv_quotes_text_cells(tmp_path, capsys):
+    # RFC 4180: a cell holding a comma, a quote or a line break is quoted
+    # and its quotes doubled; other cells are written bare
+    cells = ["a, b", 'say "x"', "two\nlines", "plain", ""]
+    cfg = JobConfig(base_doc())
+    _emit([f"c{i}" for i in range(len(cells))],
+          [{f"c{i}": cell for i, cell in enumerate(cells)}], cfg)
+    text = capsys.readouterr().out
+    assert text.splitlines()[2].startswith('"a, b","say ""x""","two')
+    assert text.endswith('",plain,\n')
+    assert list(csv.reader(text.splitlines(keepends=True)[2:])) == [cells]
 
 
 def test_potential_static_off(tmp_path, component_calls):

@@ -701,7 +701,7 @@ def test_ground_state_within_estimate_of_mpmath_oracle(rel_tol):
                 "plasma": Plasma(**table["surfaces"]["plasma"])}
     assert surfaces == {"drude": GOLD, "plasma": PLASMA}
     q = QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
-    assert len(table["rows"]) == 38
+    assert len(table["rows"]) == 40
     for row in table["rows"]:
         p = particles[row["omega_m"]]
         # the evaluators are these prefactors times the tabulated integrals
@@ -715,6 +715,26 @@ def test_ground_state_within_estimate_of_mpmath_oracle(rel_tol):
         ref = prefactor[row["integral"]] * float(row["value"])
         assert res.converged, row
         assert abs(value - ref) <= res.error_estimate, row
+
+
+def test_plasma_static_slope_near_contact_within_estimate():
+    # the static r_s turns over at kappa_tilde = omega_p/omega_e ~ 2.2,
+    # 900 and 450 times below the envelope 1/(2 z_tilde) here; from one
+    # initial panel both slopes were flagged converged at rel_tol 1e-8
+    # with errors of 1.9e-8 and 7.5e-8, 12 and 20 times their estimates
+    p = make_particle()
+    rows = [r for r in GROUND_ORACLE["rows"]
+            if r["integral"] == "static" and r["z_tilde"] < 1e-3]
+    assert [(r["z_tilde"], r["deriv"]) for r in rows] == \
+        [(2.67e-4, 1), (5.34e-4, 1)]
+    q = QuadratureConfig(rel_tol=1e-8, abs_tol=0.0)
+    for row in rows:
+        value, res = u_m_static(p, PLASMA, geo(p, row["z_tilde"]), q,
+                                deriv=True, strict=False)
+        ref = -3.0 / 8.0 * p.eta * p.spin**2 * float(row["value"])
+        assert res.converged, row
+        assert abs(value - ref) <= res.error_estimate, row
+        assert abs(value / ref - 1.0) <= 1e-8, row
 
 
 def test_near_contact_abs_tol_alone_converges_within_estimate():
