@@ -123,11 +123,18 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     in u below u ~ 1 and the e^(-2 xi z) envelope, up to ten decades
     higher for the magnetic bracket, is smooth on the log scale u ~
     ln(2 xi/w) above it.  The outer panels start at asinh(b/w) for the
-    scales b = w, 1 and the surface's frequencies, then every ln 16 (a
-    factor of 16 in xi) from u = asinh(1) to one step past the envelope
-    scale asinh(1/(2 z w)), and, where 1/(2z) < w, at a ratio-4 _ladder
-    of xi from 1/(2z) to w.  Every outer bisection costs a whole lockstep
-    of inner kappa integrals.  u is capped at asinh(400/(z w)), where
+    scales b = w, 1 and the surface's frequencies; for the Drude magnetic
+    shift also at the skin-depth frequency gamma/(2 z k_p)^2 (k_p =
+    omega_p/omega_e) where that is below w; every ln 16 (a factor of 16
+    in xi) from u = asinh(1) to two steps past the envelope scale
+    u_env = asinh(1/(2 z w)); and, where 1/(2z) < w, at a ratio-4
+    _ladder of xi from 1/(2z) to w.  Every outer bisection costs a whole
+    lockstep of inner kappa integrals, where an initial edge costs 15
+    more rows in the first one.  Ending one step past u_env left the
+    whole double-exponential fall e^(-e^(u - u_env)) in the last panel,
+    which then bisected about three times; below w the first panel held
+    the skin-depth turn-on, which far from the surface bisected two to
+    five times.  u is capped at asinh(400/(z w)), where
     e^(-2 xi z) <= e^(-800) is 0 in double precision, so the outer tail
     node stays finite.
     """
@@ -148,30 +155,38 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     # u_t is a scalar with a 1-d kappa_t, or a column with a 2-d kappa_t;
     # the full-size steps write to the arrays they own
     def inner(u_t, kappa_t: np.ndarray) -> np.ndarray:
-        xi_t = xi_of(u_t)
+        u_t = np.minimum(u_t, u_cap)
+        xi_t = w * np.sinh(u_t)
         pair = fresnel_imag_axis(surface, kappa_t * k_e, xi_t * omega_e)
         r_a, r_b = ((pair.r_s, pair.r_p) if which == "electric"
                     else (pair.r_p, pair.r_s))
         num = np.multiply(r_a, xi_t**2, out=r_a)
         kappa_sq = np.square(kappa_t)
         num -= np.multiply(r_b, kappa_sq, out=r_b)
-        minus_2k = np.multiply(-2.0, kappa_t, out=kappa_sq)
-        out = np.exp(np.multiply(minus_2k, zt, out=r_b), out=r_b)
+        # kappa*(-2z) is (-2 kappa)*z to the bit: doubling rounds nothing
+        out = np.exp(np.multiply(kappa_t, -2.0 * zt, out=r_b), out=r_b)
         out *= num
-        out /= w * np.cosh(np.minimum(u_t, u_cap))
+        out /= w * np.cosh(u_t)
         if deriv:
-            out *= minus_2k
+            out *= np.multiply(-2.0, kappa_t, out=kappa_sq)
         return out
 
     scales = {w, 1.0}
     if isinstance(surface, Drude):
-        scales.update({surface.omega_p / omega_e, surface.gamma / omega_e})
+        k_p, gamma = surface.omega_p / omega_e, surface.gamma / omega_e
+        scales.update({k_p, gamma})
+        # the Drude r_s of the magnetic bracket turns on at the skin-depth
+        # frequency, where the skin depth reaches z; below w no other
+        # edge lies near it
+        skin = gamma / (2.0 * zt * k_p) ** 2
+        if which == "magnetic" and skin < w:
+            scales.add(skin)
     elif isinstance(surface, Plasma):
         scales.add(surface.omega_p / omega_e)
     u_env = math.asinh(envelope / w)
     splits = {math.asinh(b / w) for b in scales}
     u = math.asinh(1.0)
-    while u < u_env:
+    while u < u_env + _LN16:
         u += _LN16
         splits.add(u)
     if envelope < w:
@@ -210,6 +225,10 @@ def u_m_ground_broadband(particle: ParticleSpec, surface: SurfaceModel,
 # ---------------------------------------------------------------------------
 # magnetostatic image term
 
+# the top of the plasma static ladder, in envelope scales 1/(2z), where
+# that is below omega_p: _ladder's points then end at 64/(2z)
+_STATIC_REACH = 32.0
+
 def u_m_static(particle: ParticleSpec, surface: SurfaceModel,
                geometry: Geometry, quad: QuadratureConfig,
                deriv: bool = False, strict: bool = True):
@@ -238,12 +257,15 @@ def u_m_static(particle: ParticleSpec, surface: SurfaceModel,
         return out
 
     # r_s(kappa, 0) turns over at kappa = omega_p, far below the envelope
-    # scale 1/(2z) near contact: a ladder between the two samples both
+    # scale 1/(2z) near contact: a ladder between the two samples both.
+    # Far from the surface the envelope has fallen to e^(-64) at its
+    # ladder's fourth point, 64/(2z), so the ladder stops there.
     envelope = 1.0 / (2.0 * zt)
     k_p = surface.omega_p / particle.omega_e
+    top = max(envelope, min(k_p, _STATIC_REACH * envelope))
     res = integrate_semi_infinite(
         integrand, 0.0, replace(quad, split_points=_ladder(
-            min(k_p, envelope), max(k_p, envelope))),
+            min(k_p, envelope), top)),
         tail_scale=envelope)
     return _finish(-3.0 / 8.0 * eta_s2, res.value, res, "magnetostatic shift",
                    strict)

@@ -21,10 +21,16 @@ abscissa.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # numpy >= 2
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum
 
 # K15 abscissae (positive half) and weights; G7 shares every other node.
 _XK = np.array([
@@ -120,9 +126,10 @@ class IntegralResult:
 
 def _rule(y, w):
     """The weighted sum of y over its last, 15-node axis, taken by
-    np.einsum: in the same order for every row whatever the batch, where
-    a BLAS product may change a row's last bit with the batch's size."""
-    return np.einsum("...k,k->...", y, w)
+    einsum's C core (what np.einsum calls without its optimize option):
+    in the same order for every row whatever the batch, where a BLAS
+    product may change a row's last bit with the batch's size."""
+    return c_einsum("...k,k->...", y, w)
 
 
 def _panels(g, lo, hi):
@@ -136,9 +143,9 @@ def _panels(g, lo, hi):
     an error carried by each value: then the third result is e's K15 sum
     on each panel, which no error bound sees, and otherwise None.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[..., None] + half[..., None] * _NODES
+    width = hi - lo
+    half = 0.5 * width
+    x = (0.5 * (lo + hi))[..., None] + half[..., None] * _NODES
     y = g(x.reshape(len(x), -1))
     y, carried = y if isinstance(y, tuple) else (y, None)
     y = np.asarray(y).reshape(-1, *x.shape[1:])
@@ -153,13 +160,13 @@ def _panels(g, lo, hi):
             raise NonFiniteIntegrand(f"integrand non-finite at x = {bad!r}")
     k15 = half * _rule(y, _WEIGHTS_K)
     g7 = half * _rule(y, _WEIGHTS_G)
-    mean = k15 / (hi - lo)
+    mean = k15 / width
     # |y - mean| in the buffer of |y|, where a complex y - mean needs its own
     dev = np.subtract(y, mean[..., None],
                       out=size if y.dtype == size.dtype else None)
     resasc = half * _rule(np.abs(dev, out=size), _WEIGHTS_K)
     err = np.abs(k15 - g7)
-    scaled = (resasc != 0.0) & (err != 0.0)
+    scaled = np.logical_and(resasc, err)  # both nonzero
     safe = np.where(scaled, resasc, 1.0)
     err = np.where(scaled,
                    resasc * np.minimum(1.0, (200.0 * err / safe) ** 1.5), err)
@@ -198,9 +205,9 @@ def _adaptive_rows(g, edges, n: int, config: QuadratureConfig):
     full = p + 2 * config.max_subdivisions
     evals = np.full(n, 15 * p)
     used = p                # slots filled so far, by every row alike
+    live_val, live_err = val, err   # the slots of the rows in `rows`
     while used < full:
-        live = err[rows, :used]
-        short = ~_converged(val[rows, :used].sum(axis=1), live.sum(axis=1),
+        short = ~_converged(live_val.sum(axis=1), live_err.sum(axis=1),
                             config)
         rows = rows[short]
         if rows.size == 0:
@@ -212,7 +219,7 @@ def _adaptive_rows(g, edges, n: int, config: QuadratureConfig):
                                                  (val, 0.0), (err, 0.0)))
             if carried is not None:
                 carried = _widened(carried, n, width, 0.0)
-        j = live[short].argmax(axis=1)
+        j = live_err[short].argmax(axis=1)
         lo_j, hi_j = lo[rows, j], hi[rows, j]
         ends = np.array([lo_j, 0.5 * (lo_j + hi_j), hi_j])
         new_lo, new_hi = ends[:2].T, ends[1:].T
@@ -229,21 +236,35 @@ def _adaptive_rows(g, edges, n: int, config: QuadratureConfig):
             carried[rows, j] = 0.0
         evals[rows] += 30
         used += 2
+        live_val, live_err = (a.take(rows, axis=0)[:, :used]
+                              for a in (val, err))
 
     # sequential sums in position order (empty slots sort last, add 0),
-    # each array gathered by one take of flat indices: the argsort of a
-    # row already in order is cheap, and picking out the rows that
-    # bisected costs more than it saves
+    # each array gathered by one take of flat indices into a row per
+    # position: the argsort of a row already in order is cheap, and
+    # picking out the rows that bisected costs more than it saves
     parts = [a for a in (val, err, carried) if a is not None]
     if used > p:
         order = np.argsort(lo[:, :used], axis=1, kind="stable")
         width = val.shape[1]
         order += np.arange(0, n * width, width)[:, None]
-        parts = [a.take(order) for a in parts]
-    value, error, *extra = (np.cumsum(a, axis=1)[:, -1] for a in parts)
+        parts = [a.take(order.T) for a in parts]
+    else:
+        parts = [np.ascontiguousarray(a.T) for a in parts]
+    value, error, *extra = (_in_order(a) for a in parts)
     if extra:
         error = error + extra[0]
     return value, error, evals
+
+
+def _in_order(a):
+    """The sum of each column of a, its rows added one after another.
+    numpy adds pairwise only along the contiguous axis, so with two or
+    more columns add.reduce over the rows is this sequential sum; a lone
+    column is contiguous, so it takes the running sum instead."""
+    if a.shape[1] == 1:
+        return np.cumsum(a, axis=0)[-1]
+    return np.add.reduce(a, axis=0)
 
 
 def _widened(a, n, width, empty):
@@ -315,9 +336,7 @@ def _semi_infinite_rows(f, lower, scale: float, config: QuadratureConfig,
     a = np.asarray(lower, dtype=float).reshape(-1, 1)
     n = len(a)
     span = 10.0 ** config.tail_decades
-    t_max = span / (1.0 + span)
-    t = np.asarray(t_edges, dtype=float)
-    edges = np.concatenate([[0.0], t[(0.0 < t) & (t < t_max)], [t_max]])
+    edges = _mapped_edges(tuple(t_edges), config.tail_decades)
     x_max = a + scale * span
     # all rows need no gather; a lone row broadcasts faster as a float
     whole = float(a[0, 0]) if n == 1 else a
@@ -352,11 +371,24 @@ def _semi_infinite_rows(f, lower, scale: float, config: QuadratureConfig,
     return value, error + tail[0], evals + 1
 
 
+@functools.lru_cache(maxsize=16)
+def _mapped_edges(t_edges: tuple, tail_decades: int):
+    """The initial edges in t of _semi_infinite_rows: 0, the ascending
+    ``t_edges`` inside (0, t_max) and t_max, where the tail is cut.  Made
+    once per pair and kept read-only: the inner rows of every nested
+    integral share theirs."""
+    span = 10.0 ** tail_decades
+    t_max = span / (1.0 + span)
+    edges = np.array([0.0, *(t for t in t_edges if 0.0 < t < t_max), t_max])
+    edges.flags.writeable = False
+    return edges
+
+
 def _t_edges(points, lower: float, scale: float):
     """The initial t-edges d/(s + d), d = max(p - a, 0), of split points p
     on [a, inf) mapped with scale s, ascending and without repeats."""
-    d = np.maximum(np.array(points or ()) - lower, 0.0)
-    return np.unique(d / (scale + d))
+    d = [max(p - lower, 0.0) for p in points or ()]
+    return sorted({b / (scale + b) for b in d})
 
 
 def _check_scale(name: str, scale: float) -> None:
@@ -379,6 +411,18 @@ def integrate_semi_infinite(f, lower_limit: float, config: QuadratureConfig,
     t = _t_edges(config.split_points, lower_limit, tail_scale)
     return _result(*_semi_infinite_rows(_one_row(f), [lower_limit],
                                         tail_scale, config, t), config)
+
+
+@functools.lru_cache(maxsize=16)
+def _nested_budgets(rel_tol, abs_tol, max_subdivisions, tail_decades):
+    """The (inner, outer) configs of integrate_nested, built once per
+    tolerance.  Budget split: the outer pass targets half the requested
+    tolerance and the inner passes a tenth, so the weighted inner errors
+    leave room in the caller's tolerance and the converged flag stays
+    honest.  Neither reads split points."""
+    return tuple(QuadratureConfig(rel_tol / share, abs_tol / share,
+                                  max_subdivisions, tail_decades)
+                 for share in (10.0, 2.0))
 
 
 def integrate_nested(inner_f, outer_lower: float, inner_lower,
@@ -411,13 +455,9 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
     """
     _check_scale("outer_tail_scale", outer_tail_scale)
     _check_scale("inner_tail_scale", inner_tail_scale)
-    # Budget split: the outer pass targets half the requested tolerance and
-    # the inner passes a tenth, so the weighted inner errors leave room
-    # in the caller's tolerance and the converged flag stays honest.
-    inner_cfg = replace(config, rel_tol=config.rel_tol / 10.0,
-                        abs_tol=config.abs_tol / 10.0)
-    outer_cfg = replace(config, rel_tol=config.rel_tol / 2.0,
-                        abs_tol=config.abs_tol / 2.0)
+    inner_cfg, outer_cfg = _nested_budgets(
+        config.rel_tol, config.abs_tol, config.max_subdivisions,
+        config.tail_decades)
     stats = {"evals": 0, "failed_at": None}
 
     def outer_integrand(_, xs):
@@ -437,5 +477,6 @@ def integrate_nested(inner_f, outer_lower: float, inner_lower,
         _t_edges(config.split_points, outer_lower, outer_tail_scale)), config)
     level = "" if stats["failed_at"] is None else (
         f"inner integral non-converged at outer x = {stats['failed_at']!r}")
-    return replace(outer, evaluations=outer.evaluations + stats["evals"],
-                   converged=outer.converged and not level, level=level)
+    return IntegralResult(outer.value, outer.error_estimate,
+                          outer.evaluations + stats["evals"],
+                          outer.converged and not level, level)

@@ -737,6 +737,26 @@ def test_plasma_static_slope_near_contact_within_estimate():
         assert abs(value / ref - 1.0) <= 1e-8, row
 
 
+def test_plasma_static_far_from_surface_takes_no_more_evaluations():
+    # far from the surface the envelope 1/(2 z_tilde) lies decades below
+    # omega_p; a ladder running on up to omega_p spent 15 evaluations per
+    # panel on an e^(-2 kappa z) of e^(-20) or less, 136 and 166
+    # evaluations at z_tilde 1e3 and 1e5 against 76 at z_tilde 10
+    p = make_particle()
+    q = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-12)
+
+    def evaluations(zt, deriv):
+        _, res = u_m_static(p, PLASMA, geo(p, zt), q, deriv=deriv,
+                            strict=False)
+        assert res.converged
+        return res.evaluations
+
+    for deriv in (False, True):
+        near = evaluations(10.0, deriv)
+        assert all(evaluations(zt, deriv) <= near
+                   for zt in (1e3, 1e5, 1e7)), deriv
+
+
 def test_near_contact_abs_tol_alone_converges_within_estimate():
     # Drude electric at z_tilde 1e-3, rel_tol 1e-10 and abs_tol 2.4e-2
     # (1e-10 of |value| is 2.4e-2): while the nested bound was the worst
@@ -794,7 +814,12 @@ def test_ground_double_integrand_calls(monkeypatch):
     # span its e^(-2 kappa z) envelope, to 821.  With the outer integral
     # in u = asinh(xi/w) on panels a factor of 16 wide in xi, and the
     # inner errors weighted by the outer rule in the error bound, it
-    # went from 439 (61/204 and 61/113) to 316 (62/152 and 62/40).
+    # went from 439 (61/204 and 61/113) to 316 (62/152 and 62/40).  A
+    # second outer step past the envelope scale, so that the last outer
+    # panel no longer holds the whole fall of the envelope, took it to
+    # 272 (51/130 and 51/40), and an outer edge at the Drude skin-depth
+    # frequency, where that lies below omega_m/omega_e, to 259 (51/117
+    # and 51/40).
     calls = []
     fresnel = potentials.fresnel_imag_axis
 
@@ -810,7 +835,49 @@ def test_ground_double_integrand_calls(monkeypatch):
         res = potentials._ground_double(p, surface, geo(p, zt), q, which,
                                         deriv)
         assert res.converged, (surface, which, deriv, zt)
-    assert len(calls) <= 350
+    assert len(calls) <= 259
+
+
+def _outer_bisections(monkeypatch, zt):
+    """The outer bisections of the Drude gold broadband magnetic shift at
+    z_tilde, at the benchmark's quadrature.  The outer integrand asks
+    for its inner lower limits once per call: once for the initial
+    panels, then once per outer bisection, each a whole lockstep of
+    inner kappa integrals."""
+    nested = potentials.integrate_nested
+    outer_calls = []
+
+    def counting(inner_f, outer_lower, inner_lower, *args, **kwargs):
+        def lower(x):
+            outer_calls.append(len(x))
+            return inner_lower(x)
+        return nested(inner_f, outer_lower, lower, *args, **kwargs)
+
+    p = make_particle()
+    q = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-12)
+    with monkeypatch.context() as patch:
+        patch.setattr(potentials, "integrate_nested", counting)
+        res = potentials._ground_double(p, GOLD, geo(p, zt), q, "magnetic",
+                                        False)
+    assert res.converged
+    return len(outer_calls) - 1
+
+
+def test_magnetic_shift_near_envelope_makes_no_outer_bisection(monkeypatch):
+    # With the outer u-ladder ending one step past the envelope scale,
+    # its last panel held the double-exponential fall of e^(-2 xi z) and
+    # was bisected three times at each of these distances
+    for zt in (0.113, 2.8e-3):
+        assert _outer_bisections(monkeypatch, zt) == 0, zt
+
+
+def test_magnetic_shift_far_zone_bisects_little_below_w(monkeypatch):
+    # Far from the surface the Drude r_s of the magnetic bracket turns on
+    # at the skin-depth frequency gamma/(2 z k_p)^2, below omega_m/omega_e;
+    # the first outer panel [0, asinh(1)] held that turn-on and was
+    # bisected four and five times here, without an edge at it
+    for zt in (35.78, 41.02):
+        assert _outer_bisections(monkeypatch, zt) <= 2, zt
 
 
 def test_ground_double_outer_panels_bounded(monkeypatch):
