@@ -124,19 +124,33 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     higher for the magnetic bracket, is smooth on the log scale u ~
     ln(2 xi/w) above it.  The outer panels start at asinh(b/w) for the
     scales b = w, 1 and the surface's frequencies; for the Drude magnetic
-    shift also at the skin-depth frequency gamma/(2 z k_p)^2 (k_p =
-    omega_p/omega_e) where that is below w; every ln 16 (a factor of 16
-    in xi) from u = asinh(1) to two steps past the envelope scale
-    u_env = asinh(1/(2 z w)); and, where 1/(2z) < w, at a ratio-4
-    _ladder of xi from 1/(2z) to w.  Every outer bisection costs a whole
-    lockstep of inner kappa integrals, where an initial edge costs 15
-    more rows in the first one.  Ending one step past u_env left the
-    whole double-exponential fall e^(-e^(u - u_env)) in the last panel,
-    which then bisected about three times; below w the first panel held
-    the skin-depth turn-on, which far from the surface bisected two to
-    five times.  u is capped at asinh(400/(z w)), where
-    e^(-2 xi z) <= e^(-800) is 0 in double precision, so the outer tail
-    node stays finite.
+    shift also at the skin-depth frequency xi_s = gamma/(2 z k_p)^2
+    (k_p = omega_p/omega_e) where that is below w, and at
+    0.1 min(xi_s, w) where xi_s is within a factor 32 of w; every ln 16
+    (a factor of 16 in xi) from u = asinh(1) to two steps past the
+    envelope scale u_env = asinh(1/(2 z w)); and, where 1/(2z) < w, at a
+    ratio-4 _ladder of xi from 1/(2z) to w.  Every outer bisection costs
+    a whole lockstep of inner kappa integrals, where an initial edge
+    costs 15 more rows in the first one.  Ending one step past u_env left
+    the whole double-exponential fall e^(-e^(u - u_env)) in the last
+    panel, which then bisected about three times; below w the first
+    panel held the skin-depth turn-on, which far from the surface
+    bisected two to five times.  The Drude r_s turns on in kappa at
+    kappa_s = k_p sqrt(xi/(xi + gamma)), which grows as sqrt(xi) from
+    xi = 0: without the edge at 0.1 min(xi_s, w) the first panel bisected
+    toward u = 0 up to three times where xi_s is within a factor 32 of w;
+    farther out the edge removed at most one bisection, for 15 more rows.
+    u is capped at asinh(400/(z w)), where e^(-2 xi z) <= e^(-800) is 0
+    in double precision, so the outer tail node stays finite.
+
+    The inner integrals run over kappa from xi, in the tail scale
+    1/(2z), from integrate_nested's edges 1/(32 z) 4^k above xi
+    (k = 0..4).  For the Drude magnetic shift, rows whose kappa_s lies
+    below the first edge run on _skin_stretch's variable, a log scale up
+    to kappa_s, below that edge: graded only through 1/(2z), they
+    bisected toward kappa_s for up to ten lockstep rounds near contact,
+    and on a strongly damped surface stopped 3.5 to 5.4 times outside
+    their error estimate.
     """
     zt = geometry.z_tilde(particle)
     wt = particle.omega_tilde
@@ -152,11 +166,33 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     def xi_of(u_t):
         return w * np.sinh(np.minimum(u_t, u_cap))
 
-    # u_t is a scalar with a 1-d kappa_t, or a column with a 2-d kappa_t;
-    # the full-size steps write to the arrays they own
-    def inner(u_t, kappa_t: np.ndarray) -> np.ndarray:
+    scales = {w, 1.0}
+    stretch = None
+    if isinstance(surface, Drude):
+        k_p, gamma = surface.omega_p / omega_e, surface.gamma / omega_e
+        scales.update({k_p, gamma})
+        if which == "magnetic":
+            # the r_s of the magnetic bracket turns on where the skin depth
+            # meets 1/kappa: in kappa at kappa_s(xi), which the inner rows
+            # resolve below their first edge 1/(32 z), and in xi at the
+            # skin-depth frequency, where the skin depth reaches z; below
+            # w no other edge lies near that
+            stretch = _skin_stretch(k_p, gamma, envelope / 16.0)
+            skin = gamma / (2.0 * zt * k_p) ** 2
+            if skin < w:
+                scales.add(skin)
+            if w / 32.0 < skin < 32.0 * w:
+                scales.add(0.1 * min(skin, w))
+    elif isinstance(surface, Plasma):
+        scales.add(surface.omega_p / omega_e)
+
+    # u_t is a scalar with a 1-d y_t, or a column with a 2-d y_t; the
+    # full-size steps write to the arrays they own
+    def inner(u_t, y_t: np.ndarray) -> np.ndarray:
         u_t = np.minimum(u_t, u_cap)
         xi_t = w * np.sinh(u_t)
+        kappa_t, jacobian = (y_t, None) if stretch is None else \
+            stretch(xi_t, y_t)
         pair = fresnel_imag_axis(surface, kappa_t * k_e, xi_t * omega_e)
         r_a, r_b = ((pair.r_s, pair.r_p) if which == "electric"
                     else (pair.r_p, pair.r_s))
@@ -169,20 +205,11 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
         out /= w * np.cosh(u_t)
         if deriv:
             out *= np.multiply(-2.0, kappa_t, out=kappa_sq)
+        if jacobian is not None:
+            block, factor = jacobian
+            out.reshape(-1, out.shape[-1])[block] *= factor
         return out
 
-    scales = {w, 1.0}
-    if isinstance(surface, Drude):
-        k_p, gamma = surface.omega_p / omega_e, surface.gamma / omega_e
-        scales.update({k_p, gamma})
-        # the Drude r_s of the magnetic bracket turns on at the skin-depth
-        # frequency, where the skin depth reaches z; below w no other
-        # edge lies near it
-        skin = gamma / (2.0 * zt * k_p) ** 2
-        if which == "magnetic" and skin < w:
-            scales.add(skin)
-    elif isinstance(surface, Plasma):
-        scales.add(surface.omega_p / omega_e)
     u_env = math.asinh(envelope / w)
     splits = {math.asinh(b / w) for b in scales}
     u = math.asinh(1.0)
@@ -198,6 +225,49 @@ def _ground_double(particle: ParticleSpec, surface: SurfaceModel,
     return integrate_nested(inner, 0.0, xi_of, cfg,
                             outer_tail_scale=max(u_env, 1.0),
                             inner_tail_scale=envelope)
+
+
+def _skin_stretch(k_p: float, gamma: float, d0: float):
+    """The inner variable y of the Drude magnetic shift's kappa rows.
+
+    Returns stretch(xi, y) -> (kappa, jacobian): the kappa at each y of a
+    row at outer xi, and None or (block, dkappa/dy) of the y it moves,
+    block indexing y as rows of its last axis.  The Drude r_s turns on
+    where the skin depth meets 1/kappa, at kappa_s = k_p sqrt(xi/(xi +
+    gamma)); where that lies below the first inner edge d0 = s/16 (s =
+    1/(2z), the rows' tail scale), the offset d = kappa - xi below d0 is
+    d = e expm1(L (y - xi)/d0), e = kappa_s/4, L = log1p(d0/e), so the
+    first panel runs on a log scale from about e to d0; at and above d0,
+    kappa = y.  The map is continuous at d0, an initial edge of every
+    row, so it adds no panel.  Each kappa and factor depends only on its
+    own (xi, y): the map runs on the block of rows and leading columns
+    that holds every y below the kink (a row's first panel in the first
+    lockstep, whole rows in a bisection step), and leaves any other y in
+    the block as it is.
+    """
+    def stretch(xi, y):
+        kappa_s = k_p * np.sqrt(xi / (xi + gamma))
+        moved = kappa_s < d0
+        if not np.any(moved):
+            return y, None
+        rows_y = y.reshape(-1, y.shape[-1])     # a 1-d y is one row
+        below = rows_y < np.where(moved, xi + d0, -np.inf).reshape(-1, 1)
+        cols = np.flatnonzero(below.any(axis=0))
+        if not cols.size:
+            return y, None
+        rows = below.any(axis=1)
+        rows = slice(None) if rows.all() else np.flatnonzero(rows)
+        block = (rows, slice(0, cols[-1] + 1))
+        xi = np.reshape(xi, (-1, 1))[rows]
+        e = 0.25 * np.reshape(kappa_s, (-1, 1))[rows]
+        log_ratio = np.log1p(d0 / e)
+        moved_y = rows_y[block]
+        d = e * np.expm1(log_ratio / d0 * np.minimum(moved_y - xi, d0))
+        keep = below[block]
+        kappa = y.copy()
+        kappa.reshape(rows_y.shape)[block] = np.where(keep, xi + d, moved_y)
+        return kappa, (block, np.where(keep, (d + e) * (log_ratio / d0), 1.0))
+    return stretch
 
 
 def u_e_ground(particle: ParticleSpec, surface: SurfaceModel,

@@ -48,15 +48,19 @@ plasma's S; deriv 0 and 1; z_tilde 1e-3, 0.1 and 10.  A second slice
 puts omega_m at 2 pi 1e7 rad/s (omega_m/omega_e = 1e-8, the narrowest
 Lorentzian): magnetic D on both surfaces, deriv 0 and 1, z_tilde 1e-3
 and 10.  A third holds the plasma's static slope S (deriv 1) at
-z_tilde 2.67e-4 and 5.34e-4.  Every row carries its omega_m.  Run from
-the repository root:
+z_tilde 2.67e-4 and 5.34e-4.  A fourth holds the magnetic D (deriv 0)
+of a strongly damped Drude surface (omega_p = 1.36e16 rad/s, gamma =
+1.3e15 rad/s) near contact, where its r_s turns on at kappa =
+omega_p sqrt(xi/(xi + gamma)), far below the envelope 1/(2z): z_tilde
+1.94e-4 with omega_m/omega_e 3.05e-8, and 1.72e-3 with 1.75e-5.  Every
+row carries its omega_m.  Run from the repository root:
 
     python tests/make_ground_oracle.py
 
 Rows already in the file are kept and only missing ones are computed;
 delete the file to recompute every row.  The first slice took about 40
 minutes on a 2-vCPU host, the second about 80 s a row, the third a
-second a row (see CHANGES.md).
+second a row, the fourth 120 to 220 s a row (see CHANGES.md).
 """
 
 import json
@@ -76,31 +80,38 @@ OMEGA_M = 2.0 * math.pi * 1e10
 # the narrow-Lorentzian slice, omega_m/omega_e = 1e-8
 OMEGA_M_SLOW = 2.0 * math.pi * 1e7
 SURFACES = {"drude": {"omega_p": 1.36e16, "gamma": 1e14},
-            "plasma": {"omega_p": 1.36e16}}
+            "plasma": {"omega_p": 1.36e16},
+            "drude_damped": {"omega_p": 1.36e16, "gamma": 1.3e15}}
 Z_TILDE = (1e-3, 0.1, 10.0)
 Z_TILDE_SLOW = (1e-3, 10.0)
 # the plasma static slope nearest contact, where the static r_s turns
 # over at kappa = omega_p, hundreds of times below the envelope 1/(2z)
 Z_TILDE_CONTACT = (2.67e-4, 5.34e-4)
+# (z_tilde, omega_m) of the damped surface's magnetic D, where the Drude
+# r_s turns on far below the envelope 1/(2z)
+DAMPED_MAGNETIC = ((1.94e-4, 2.0 * math.pi * 3.05e7),
+                   (1.72e-3, 2.0 * math.pi * 1.75e10))
 
 
 def grid():
     """(surface, integral, z_tilde, deriv, omega_m) of every row, in
     order."""
     rows = []
-    for surface in SURFACES:
+    for surface in ("drude", "plasma"):
         integrals = ("electric", "magnetic") + (
             ("static",) if surface == "plasma" else ())
         for which in integrals:
             for zt in Z_TILDE:
                 for deriv in (0, 1):
                     rows.append((surface, which, zt, deriv, OMEGA_M))
-    for surface in SURFACES:
+    for surface in ("drude", "plasma"):
         for zt in Z_TILDE_SLOW:
             for deriv in (0, 1):
                 rows.append((surface, "magnetic", zt, deriv, OMEGA_M_SLOW))
     for zt in Z_TILDE_CONTACT:
         rows.append(("plasma", "static", zt, 1, OMEGA_M))
+    for zt, omega_m in DAMPED_MAGNETIC:
+        rows.append(("drude_damped", "magnetic", zt, 0, omega_m))
     return rows
 
 

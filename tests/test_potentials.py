@@ -53,6 +53,7 @@ ORACLE_UM_DRUDE_Z1 = 3.930104158198e-06
 
 GOLD = Drude(omega_p=1.36e16, gamma=1.0e14)
 PLASMA = Plasma(omega_p=1.36e16)
+DAMPED = Drude(omega_p=1.36e16, gamma=1.3e15)
 PC = PerfectConductor()
 QUAD = QuadratureConfig()
 
@@ -301,7 +302,7 @@ def test_evaluator_results_in_value_units(surface):
 @pytest.mark.parametrize("zt", [1e-4, 1e-2, 1e3])
 @pytest.mark.parametrize("ratio", [1e-5, 1e-8])
 @pytest.mark.parametrize("surface", [
-    GOLD, Drude(omega_p=1.36e16, gamma=1.3e15), PLASMA,
+    GOLD, DAMPED, PLASMA,
 ], ids=["drude", "strongly_damped", "plasma"])
 def test_extreme_inputs_finite_and_converged(surface, ratio, zt):
     # the corners of the supported range, omega_m/omega_e down to 1e-8
@@ -684,37 +685,63 @@ GROUND_ORACLE = json.loads(
 
 GROUND_EVALUATORS = {"electric": u_e_ground,
                      "magnetic": u_m_ground_broadband, "static": u_m_static}
+GROUND_SURFACES = {"drude": GOLD, "plasma": PLASMA, "drude_damped": DAMPED}
 
 
-@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
-def test_ground_state_within_estimate_of_mpmath_oracle(rel_tol):
-    # the table's inputs are the test particle's and gold's, and a slice
-    # at omega_m/omega_e = 1e-8, where the Lorentzian is narrowest
-    table = GROUND_ORACLE
-    assert table["omega_e"] == OMEGA_E
-    particles = {om: make_particle(omega_m=om)
-                 for om in {row["omega_m"] for row in table["rows"]}}
-    assert make_particle().omega_m in particles
-    assert sorted(p.omega_tilde for p in particles.values()) == \
-        pytest.approx([1e-8, 1e-5], rel=1e-12, abs=0.0)
-    surfaces = {"drude": Drude(**table["surfaces"]["drude"]),
-                "plasma": Plasma(**table["surfaces"]["plasma"])}
-    assert surfaces == {"drude": GOLD, "plasma": PLASMA}
+def _ground_oracle_check(rows, rel_tol):
+    """Each row's evaluator at rel_tol (abs_tol 0) converges within its
+    estimate of the tabulated value; returns the results."""
     q = QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
-    assert len(table["rows"]) == 40
-    for row in table["rows"]:
-        p = particles[row["omega_m"]]
+    results = []
+    for row in rows:
+        p = make_particle(omega_m=row["omega_m"])
         # the evaluators are these prefactors times the tabulated integrals
         prefactor = {"electric": 3.0 / (8.0 * math.pi),
                      "magnetic": 3.0 / (8.0 * math.pi) * p.omega_tilde
                      * p.eta * p.spin,
                      "static": -3.0 / 8.0 * p.eta * p.spin**2}
         value, res = GROUND_EVALUATORS[row["integral"]](
-            p, surfaces[row["surface"]], Geometry(row["z_tilde"] / p.k_e), q,
-            deriv=bool(row["deriv"]), strict=False)
+            p, GROUND_SURFACES[row["surface"]],
+            Geometry(row["z_tilde"] / p.k_e), q, deriv=bool(row["deriv"]),
+            strict=False)
         ref = prefactor[row["integral"]] * float(row["value"])
         assert res.converged, row
         assert abs(value - ref) <= res.error_estimate, row
+        results.append((value, ref, res))
+    return results
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+def test_ground_state_within_estimate_of_mpmath_oracle(rel_tol):
+    # the table's inputs are the test particle's and gold's, a slice at
+    # omega_m/omega_e = 1e-8, where the Lorentzian is narrowest, and the
+    # strongly damped surface near contact
+    table = GROUND_ORACLE
+    assert table["omega_e"] == OMEGA_E
+    assert make_particle().omega_m in {row["omega_m"] for row in table["rows"]}
+    assert sorted({row["omega_m"] / OMEGA_E for row in table["rows"]}) == \
+        pytest.approx([1e-8, 3.05e-8, 1e-5, 1.75e-5], rel=1e-12, abs=0.0)
+    assert {name: Drude(**kw) if "gamma" in kw else Plasma(**kw)
+            for name, kw in table["surfaces"].items()} == GROUND_SURFACES
+    assert len(table["rows"]) == 42
+    _ground_oracle_check(table["rows"], rel_tol)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
+def test_damped_drude_magnetic_near_contact_within_estimate(rel_tol):
+    # On the strongly damped surface the Drude r_s turns on at
+    # kappa_s = k_p sqrt(xi/(xi + gamma)), decades below the inner rows'
+    # first edge 1/(32 z_tilde).  While those rows were graded only
+    # through 1/(2 z_tilde), the first row was flagged converged 5.4
+    # (rel_tol 1e-6) and 3.5 (1e-8) times outside its estimate, 1.4e-7
+    # and 3.6e-9 off; in the variable stretched at kappa_s both rows are
+    # within 4e-12 of mpmath.
+    rows = [r for r in GROUND_ORACLE["rows"]
+            if r["surface"] == "drude_damped"]
+    assert [(r["integral"], r["z_tilde"], r["deriv"]) for r in rows] == \
+        [("magnetic", 1.94e-4, 0), ("magnetic", 1.72e-3, 0)]
+    for value, ref, _ in _ground_oracle_check(rows, rel_tol):
+        assert abs(value / ref - 1.0) <= 1e-3 * rel_tol
 
 
 def test_plasma_static_slope_near_contact_within_estimate():
@@ -819,7 +846,10 @@ def test_ground_double_integrand_calls(monkeypatch):
     # panel no longer holds the whole fall of the envelope, took it to
     # 272 (51/130 and 51/40), and an outer edge at the Drude skin-depth
     # frequency, where that lies below omega_m/omega_e, to 259 (51/117
-    # and 51/40).
+    # and 51/40).  Inner kappa rows of the Drude magnetic shift that run
+    # on a log scale up to the skin-depth wave number, and an outer edge
+    # at a tenth of the skin-depth frequency or w where those two are
+    # within a factor 32, took it to 194 (51/52 and 51/40).
     calls = []
     fresnel = potentials.fresnel_imag_axis
 
@@ -835,7 +865,7 @@ def test_ground_double_integrand_calls(monkeypatch):
         res = potentials._ground_double(p, surface, geo(p, zt), q, which,
                                         deriv)
         assert res.converged, (surface, which, deriv, zt)
-    assert len(calls) <= 259
+    assert len(calls) <= 194
 
 
 def _outer_bisections(monkeypatch, zt):
@@ -878,6 +908,36 @@ def test_magnetic_shift_far_zone_bisects_little_below_w(monkeypatch):
     # bisected four and five times here, without an edge at it
     for zt in (35.78, 41.02):
         assert _outer_bisections(monkeypatch, zt) <= 2, zt
+
+
+def test_magnetic_shift_inner_rows_bisect_once_near_contact(monkeypatch):
+    # The Drude r_s turns on at the skin-depth wave number
+    # kappa_s = k_p sqrt(xi/(xi + gamma)), below the inner rows' first
+    # edge 1/(32 z_tilde) here.  Graded only through 1/(2 z_tilde), the
+    # rows bisected toward it for 10, 8 and 5 lockstep rounds; on a log
+    # scale up to kappa_s they take at most one.
+    nested = potentials.integrate_nested
+    rounds = []
+
+    def counting(inner_f, outer_lower, inner_lower, *args, **kwargs):
+        def lower(x):
+            rounds.append(-1)       # the first lockstep is no bisection
+            return inner_lower(x)
+
+        def f(x, y):
+            rounds[-1] += 1
+            return inner_f(x, y)
+        return nested(f, outer_lower, lower, *args, **kwargs)
+
+    monkeypatch.setattr(potentials, "integrate_nested", counting)
+    p = make_particle()
+    q = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-12)
+    for zt in (2.44e-3, 0.0166, 0.113):
+        rounds.clear()
+        res = potentials._ground_double(p, GOLD, geo(p, zt), q, "magnetic",
+                                        False)
+        assert res.converged
+        assert rounds and max(rounds) <= 1, (zt, rounds)
 
 
 def test_ground_double_outer_panels_bounded(monkeypatch):
